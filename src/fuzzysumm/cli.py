@@ -64,6 +64,11 @@ class ProjectState:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise DataError(f"cannot read project state {path}: {exc}")
+        if not isinstance(raw, dict):
+            raise DataError(f"project state {path} is not a JSON object")
+        missing = [key for key in ("schema", "hierarchy") if key not in raw]
+        if missing:
+            raise DataError(f"project state {path} lacks {', '.join(missing)}")
         return ProjectState(
             schema=schema_from_dict(raw["schema"]),
             hierarchy=SummaryHierarchy.from_dict(raw["hierarchy"]),

@@ -237,17 +237,21 @@ def enumerate_concepts(ctx: FuzzyContext, threshold: float) -> list[FuzzyConcept
 
 def sigma_jaccard(extent_a: dict[str, float], extent_b: dict[str, float]) -> float:
     """Fuzzy-set Jaccard with sigma-count cardinality: sum of pointwise mins
-    over sum of pointwise maxes; 0 when both extents are empty."""
-    keys = set(extent_a) | set(extent_b)
-    if not keys:
-        return 0.0
+    over sum of pointwise maxes; 0 when both extents are empty.
+
+    The sums run over ``extent_a``'s keys in its order, then over the keys
+    only ``extent_b`` has, so the result does not depend on the string hash
+    seed."""
     inter = 0.0
     union = 0.0
-    for key in keys:
-        da = extent_a.get(key, 0.0)
+    for key, da in extent_a.items():
         db = extent_b.get(key, 0.0)
         inter += min(da, db)
         union += max(da, db)
+    for key, db in extent_b.items():
+        if key not in extent_a:
+            inter += min(0.0, db)
+            union += max(0.0, db)
     if union == 0.0:
         return 0.0
     return inter / union

@@ -18,8 +18,10 @@ Three match modes:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 
 from .domain import AttributeSpec
 from .errors import SemanticError, UsageError
@@ -260,17 +262,27 @@ def search(h: SummaryHierarchy, prop: ConjunctiveProposition, mode: str = "stric
 
 
 def _keep_maximal(h: SummaryHierarchy, ids: list) -> list:
-    """Drop results lying strictly below another result."""
-    id_set = set(ids)
-    covered = set()
-    for sid in ids:
-        covered |= h.descendants(sid) & id_set
-    return [sid for sid in ids if sid not in covered]
+    """Drop results lying strictly below another result: one walk from the
+    results' children marks everything below some result."""
+    below = set()
+    stack = [child for sid in ids for child in h.children[sid]]
+    while stack:
+        node = stack.pop()
+        if node not in below:
+            below.add(node)
+            stack.extend(h.children[node])
+    return [sid for sid in ids if sid not in below]
 
 
-def satisfaction_degrees(h: SummaryHierarchy) -> dict:
+def satisfaction_degrees(h: SummaryHierarchy) -> Mapping:
     """Best root-to-summary path sum of per-edge extent overlaps, for every
-    summary at once (longest path over the level-ordered DAG)."""
+    summary at once (longest path over the level-ordered DAG).
+
+    The sweep runs once per hierarchy object, on first use; later calls
+    return the same read-only mapping (hierarchies never change after
+    construction)."""
+    if h.sd_memo is not None:
+        return h.sd_memo
     sd = {h.root: 0.0}
     for summary in h.topological():
         if summary.id == h.root:
@@ -284,7 +296,8 @@ def satisfaction_degrees(h: SummaryHierarchy) -> dict:
                 best = total
         if best is not None:
             sd[summary.id] = best
-    return sd
+    h.sd_memo = MappingProxyType(sd)
+    return h.sd_memo
 
 
 def satisfaction_degree(sid, h: SummaryHierarchy) -> float:

@@ -127,22 +127,28 @@ def detect_failures(
     candidates = {
         sid for sid in h.summaries if overlapping_attrs(sid) and failed_attrs(sid)
     }
+    order = [s.id for s in h.topological()]
     if candidates:
-        frontier = {
-            sid for sid in candidates if not any(
-                sid in h.descendants(other) for other in candidates if other != sid
-            )
-        }
+        # root-first: a node lies below a candidate when one of its parents
+        # is a candidate or lies below one
+        below = set()
+        for sid in order:
+            if any(p in candidates or p in below for p in h.parents(sid)):
+                below.add(sid)
         return [
             FailureNode(sid, failed_attrs(sid), tuple(h.summary(sid).intent_keys()))
-            for sid in sorted(frontier, key=str)
+            for sid in sorted(candidates - below, key=str)
         ]
 
     # no positive evidence anywhere: blame the deepest undecided dead ends
     undecided = {sid for sid, corr in grades.items() if corr.verdict is Verdict.INDECISION}
-    frontier = {
-        sid for sid in undecided if not (h.descendants(sid) & undecided)
-    }
+    # leaf-first: a node has an undecided descendant when one of its
+    # children is undecided or has one
+    above = set()
+    for sid in reversed(order):
+        if any(c in undecided or c in above for c in h.children[sid]):
+            above.add(sid)
+    frontier = undecided - above
     nodes = []
     for sid in sorted(frontier, key=str):
         blamed = set(failed_attrs(sid))

@@ -10,7 +10,9 @@ tables usable as query targets without re-running the pipeline.
 
 from __future__ import annotations
 
+import functools
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .errors import DataError, UsageError
@@ -38,8 +40,15 @@ class ConceptSummary:
     def crisp_extent(self) -> frozenset[str]:
         return frozenset(self.extent)
 
+    @functools.cached_property
+    def _labels_by_attribute(self) -> dict[str, frozenset[str]]:
+        grouped: dict[str, set[str]] = {}
+        for attr, label in self.intent:
+            grouped.setdefault(attr, set()).add(label)
+        return {attr: frozenset(labels) for attr, labels in grouped.items()}
+
     def labels_on(self, attr_name: str) -> frozenset[str]:
-        return frozenset(label for attr, label in self.intent if attr == attr_name)
+        return self._labels_by_attribute.get(attr_name, frozenset())
 
     def intent_keys(self) -> list[str]:
         return sorted(pair_key(p) for p in self.intent)
@@ -71,6 +80,12 @@ class SummaryHierarchy:
     (recomputed on load, so externally supplied edge lists cannot
     contradict the intents).  When no empty-intent summary exists, a
     synthetic root covering every tuple at degree 1 is added.
+
+    A hierarchy is immutable once ``__init__`` returns: nothing adds,
+    removes or edits a summary or an edge afterwards.  Data derived from the
+    whole graph can therefore be computed once per object and kept on it;
+    ``sd_memo`` holds ``query.satisfaction_degrees``'s result after its
+    first call.
     """
 
     def __init__(self, summaries: list[ConceptSummary]):
@@ -106,6 +121,7 @@ class SummaryHierarchy:
         for cid in self.children:
             self.children[cid].sort(key=str)
             self._parents[cid].sort(key=str)
+        self.sd_memo: Mapping[object, float] | None = None
 
     def __len__(self) -> int:
         return len(self.summaries)

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from fuzzysumm.domain import load_schema
-from fuzzysumm.lattice import FuzzyContext
-from fuzzysumm.summary import SummaryHierarchy
+from fuzzysumm.lattice import FuzzyContext, build_lattice, enumerate_concepts
+from fuzzysumm.query import Clause, ConjunctiveProposition
+from fuzzysumm.summary import SummaryHierarchy, build_hierarchy
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -101,6 +102,28 @@ def random_schema_context(rng: np.random.Generator, max_objects=8):
         tuple(float(v) for v in rng.uniform(0.0, 1.0, len(pairs))) for _ in range(n)
     )
     return FuzzyContext(objects, tuple(pairs), degrees), names
+
+
+def random_hierarchy(rng: np.random.Generator):
+    """Hierarchy of at most 50 summaries over a random_schema_context."""
+    while True:
+        ctx, names = random_schema_context(rng, max_objects=8)
+        concepts = enumerate_concepts(ctx, float(rng.choice([0.4, 0.5, 0.6])))
+        if len(concepts) <= 50:
+            return build_hierarchy(build_lattice(concepts)), ctx, names
+
+
+def random_proposition(rng: np.random.Generator, ctx: FuzzyContext, names):
+    """1-3 clauses, each a nonempty subset of its attribute's labels."""
+    n_clauses = int(rng.integers(1, min(3, len(names)) + 1))
+    chosen = rng.choice(names, size=n_clauses, replace=False)
+    clauses = []
+    for name in chosen:
+        vocab = sorted({label for attr, label in ctx.attributes if attr == name})
+        size = int(rng.integers(1, len(vocab) + 1))
+        labels = frozenset(rng.choice(vocab, size=size, replace=False))
+        clauses.append(Clause(str(name), labels, 0.0))
+    return ConjunctiveProposition(tuple(clauses))
 
 
 # -- independent clustering oracle -------------------------------------------

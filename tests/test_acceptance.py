@@ -15,8 +15,6 @@ from fuzzysumm.cli import build_state, dumps, run_query
 from fuzzysumm.fsql import parse_query
 from fuzzysumm.lattice import build_lattice, enumerate_concepts
 from fuzzysumm.query import (
-    Clause,
-    ConjunctiveProposition,
     Verdict,
     default_alpha,
     evaluate,
@@ -25,9 +23,15 @@ from fuzzysumm.query import (
     search,
 )
 from fuzzysumm.repair import distance, repair
-from fuzzysumm.summary import alpha_cut, build_hierarchy
+from fuzzysumm.summary import alpha_cut
 
-from conftest import FIXTURES, oracle_concepts, random_context, random_schema_context
+from conftest import (
+    FIXTURES,
+    oracle_concepts,
+    random_context,
+    random_hierarchy,
+    random_proposition,
+)
 
 D, C, F = ("Topic", "D"), ("Topic", "C"), ("Topic", "F")
 
@@ -163,32 +167,12 @@ def test_c06_concept_analysis_property_suite():
     report(6, "closure/antitone/oracle/cover properties hold on 200 random contexts")
 
 
-def _random_hierarchy(rng):
-    while True:
-        ctx, names = random_schema_context(rng, max_objects=8)
-        concepts = enumerate_concepts(ctx, float(rng.choice([0.4, 0.5, 0.6])))
-        if len(concepts) <= 50:
-            return build_hierarchy(build_lattice(concepts)), ctx, names
-
-
-def _random_proposition(rng, ctx, names):
-    n_clauses = int(rng.integers(1, min(3, len(names)) + 1))
-    chosen = rng.choice(names, size=n_clauses, replace=False)
-    clauses = []
-    for name in chosen:
-        vocab = sorted({label for attr, label in ctx.attributes if attr == name})
-        size = int(rng.integers(1, len(vocab) + 1))
-        labels = frozenset(rng.choice(vocab, size=size, replace=False))
-        clauses.append(Clause(str(name), labels, 0.0))
-    return ConjunctiveProposition(tuple(clauses))
-
-
 def test_c07_search_oracle_suite():
     rng = np.random.default_rng(4711)
     violations = []
     for case in range(100):
-        h, ctx, names = _random_hierarchy(rng)
-        prop = _random_proposition(rng, ctx, names)
+        h, ctx, names = random_hierarchy(rng)
+        prop = random_proposition(rng, ctx, names)
 
         exhaustive = search(h, prop, mode="exhaustive")
         full_scan = {

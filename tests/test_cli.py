@@ -254,6 +254,23 @@ def test_main_returns_codes(employee_state):
     assert main(["query", str(employee_state), "garbage"]) == 1
 
 
+@pytest.mark.parametrize("raw", [
+    {},
+    [],
+    "state",
+    {"schema": []},
+    {"hierarchy": {"summaries": {}}},
+])
+def test_malformed_state_exits_one(tmp_path, capsys, raw):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(raw))
+    assert main(["query", str(path), Q1]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_save_load_query_is_bit_identical(tmp_path):
     from fuzzysumm.cli import dumps, run_query
 

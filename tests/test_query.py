@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import fuzzysumm
+from fuzzysumm import query as query_module
 from fuzzysumm.domain import AttributeSpec, LinguisticLabel
 from fuzzysumm.errors import SemanticError, UsageError
 from fuzzysumm.fsql import Condition, parse_query
@@ -8,6 +16,7 @@ from fuzzysumm.lattice import build_lattice, enumerate_concepts
 from fuzzysumm.query import (
     Grade,
     Verdict,
+    _keep_maximal,
     default_alpha,
     evaluate,
     grade,
@@ -19,9 +28,10 @@ from fuzzysumm.query import (
     satisfaction_degrees,
     search,
 )
+from fuzzysumm.repair import repair
 from fuzzysumm.summary import ConceptSummary, SummaryHierarchy, build_hierarchy
 
-from conftest import random_schema_context
+from conftest import FIXTURES, random_hierarchy, random_schema_context
 
 
 def ordered_attr(name="Age", labels=("Young", "Adult", "Old"), ftype=1):
@@ -38,6 +48,8 @@ Q2 = ("Select ProfessionalBackground From Employee Where Age FEQ $Young THOLD 0.
       "AND Income FEQ $Comfortable THOLD 0.3;")
 Q3 = ("Select * From Employee Where Age FEQ ($Young, $Adult) THOLD 0.3 "
       "And Income FEQ ($Poor, $Modest) THOLD 0.3;")
+Q4 = ("Select 3 0.25 Dairy-product, Lipid From Food-consumption "
+      "Where Age FEQ ($Old) THOLD 0.25 AND Candy FEQ ($Excessive) THOLD 0.25;")
 
 
 class TestResolveComparator:
@@ -291,6 +303,68 @@ class TestSatisfactionDegree:
     def test_unknown_id(self, employee_hierarchy):
         with pytest.raises(UsageError):
             satisfaction_degree("zz", employee_hierarchy)
+
+    def test_one_sweep_per_hierarchy(self, monkeypatch, food_schema):
+        h = SummaryHierarchy.load(FIXTURES / "food_hierarchy.json")
+        calls = []
+        real = query_module.sigma_jaccard
+
+        def counting(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(query_module, "sigma_jaccard", counting)
+        for text in (Q4, "Select * From Food-consumption Where Age FEQ $Young;"):
+            for mode in ("strict", "tolerant", "exhaustive"):
+                evaluate(h, food_schema, parse_query(text, food_schema), mode=mode)
+        q = parse_query(Q4, food_schema)
+        prop, outcome, results = evaluate(h, food_schema, q, mode="exhaustive")
+        assert results == []
+        assert repair(q, h, food_schema, prop, outcome).substitutions
+        assert len(calls) == sum(len(kids) for kids in h.children.values())
+        assert satisfaction_degrees(h) is satisfaction_degrees(h)
+        with pytest.raises(TypeError):
+            satisfaction_degrees(h)["z0"] = 1.0
+
+    def test_same_bits_under_any_hash_seed(self):
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from fuzzysumm.lattice import FuzzyContext, build_lattice, enumerate_concepts\n"
+            "from fuzzysumm.query import satisfaction_degrees\n"
+            "from fuzzysumm.summary import SummaryHierarchy, build_hierarchy\n"
+            "fixtures = Path(sys.argv[1])\n"
+            "ctx = FuzzyContext.load(fixtures / 'topics_context.json')\n"
+            "hierarchies = [SummaryHierarchy.load(fixtures / name) for name in\n"
+            "               ('employee_hierarchy.json', 'food_hierarchy.json')]\n"
+            "hierarchies.append(build_hierarchy(build_lattice(enumerate_concepts(ctx, 0.5))))\n"
+            "for h in hierarchies:\n"
+            "    print(repr(dict(satisfaction_degrees(h))))\n"
+        )
+        src = str(Path(fuzzysumm.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            proc = subprocess.run([sys.executable, "-c", script, str(FIXTURES)],
+                                  capture_output=True, text=True, env=env, check=True)
+            outputs.append(proc.stdout)
+        assert outputs[0].count("\n") == 3
+        assert outputs[0] == outputs[1]
+
+
+class TestKeepMaximal:
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**31 - 1))
+    def test_matches_pairwise_descendant_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        h, _, _ = random_hierarchy(rng)
+        ids = list(h.summaries)
+        picked = [ids[i] for i in rng.permutation(len(ids))[: int(rng.integers(0, len(ids) + 1))]]
+        expected = [
+            sid for sid in picked
+            if not any(sid in h.descendants(other) for other in picked)
+        ]
+        assert _keep_maximal(h, picked) == expected
 
 
 class TestTopK:

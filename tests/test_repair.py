@@ -1,10 +1,25 @@
+import dataclasses
+
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fuzzysumm.errors import UsageError
 from fuzzysumm.fsql import parse_query
-from fuzzysumm.query import evaluate, rewrite, search
+from fuzzysumm.query import (
+    Clause,
+    ConjunctiveProposition,
+    Grade,
+    Verdict,
+    evaluate,
+    grade,
+    rewrite,
+    search,
+)
 from fuzzysumm.repair import detect_failures, distance, propose_substitutions, repair
 from fuzzysumm.summary import ConceptSummary, SummaryHierarchy
+
+from conftest import random_hierarchy, random_proposition
 
 
 def summary(sid, intent_keys, extent=None):
@@ -100,6 +115,79 @@ class TestDetectFailures:
         nodes = detect_failures(outcome, h, prop)
         assert [n.summary_id for n in nodes] == ["n2"]
         assert nodes[0].failed_attributes == {"Y"}
+
+    def test_candidate_two_levels_below_a_candidate_stays_off_the_frontier(self):
+        # c1 and c2 are candidates; m between them overlaps without failing
+        h = SummaryHierarchy([
+            summary("r", [], {"a": 1.0}),
+            summary("c1", ["Z::u", "X::q"], {"a": 1.0}),
+            summary("m", ["Z::u", "X::q", "X::p"], {"a": 1.0}),
+            summary("c2", ["Z::u", "X::q", "X::p", "Y::t"], {"a": 1.0}),
+        ])
+        prop = ConjunctiveProposition((
+            Clause("X", frozenset({"p"}), 0.0),
+            Clause("Y", frozenset({"s"}), 0.0),
+            Clause("Z", frozenset({"u"}), 0.0),
+        ))
+        nodes = detect_failures(emptied_search(h, prop, "strict"), h, prop)
+        assert [n.summary_id for n in nodes] == ["c1"]
+        assert reference_frontier(h, prop) == ({"c1", "c2"}, {"c1"})
+
+
+def reference_frontier(h, prop):
+    """The detect_failures docstring's frontier, by pairwise descendant
+    scans: (candidates, frontier ids)."""
+    grades = {sid: grade(s, prop) for sid, s in h.summaries.items()}
+
+    def fails(sid):
+        corr = grades[sid]
+        return bool(corr.grades_with(Grade.VIOLATED)) or (
+            not h.children[sid] and bool(corr.grades_with(Grade.PENDING)))
+
+    candidates = {
+        sid for sid in h.summaries
+        if grades[sid].grades_with(Grade.SATISFIED, Grade.PARTIAL) and fails(sid)
+    }
+    if candidates:
+        return candidates, {
+            sid for sid in candidates
+            if not any(sid in h.descendants(other) for other in candidates)
+        }
+    undecided = {sid for sid, c in grades.items() if c.verdict is Verdict.INDECISION}
+    return candidates, {sid for sid in undecided if not h.descendants(sid) & undecided}
+
+
+def emptied_search(h, prop, mode):
+    """A search outcome with its results dropped: the frontier depends on
+    the grades alone, so any walk's trace can stand in for an empty one."""
+    return dataclasses.replace(search(h, prop, mode=mode), results=[])
+
+
+class TestFrontierMatchesReference:
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**31 - 1), st.sampled_from(["strict", "tolerant", "exhaustive"]))
+    def test_candidate_branch(self, seed, mode):
+        rng = np.random.default_rng(seed)
+        h, ctx, names = random_hierarchy(rng)
+        prop = random_proposition(rng, ctx, names)
+        candidates, expected = reference_frontier(h, prop)
+        assume(candidates)
+        nodes = detect_failures(emptied_search(h, prop, mode), h, prop)
+        assert {n.summary_id for n in nodes} == expected
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**31 - 1), st.sampled_from(["strict", "tolerant", "exhaustive"]))
+    def test_fallback_branch(self, seed, mode):
+        # labels no summary carries: nothing overlaps, so no candidate exists
+        rng = np.random.default_rng(seed)
+        h, ctx, names = random_hierarchy(rng)
+        chosen = rng.choice(names, size=int(rng.integers(1, len(names) + 1)), replace=False)
+        prop = ConjunctiveProposition(
+            tuple(Clause(str(name), frozenset({"absent"}), 0.0) for name in chosen))
+        candidates, expected = reference_frontier(h, prop)
+        assert not candidates
+        nodes = detect_failures(emptied_search(h, prop, mode), h, prop)
+        assert {n.summary_id for n in nodes} == expected
 
 
 class TestProposeSubstitutions:
