@@ -21,14 +21,13 @@ import argparse
 import dataclasses
 import json
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 from .clustering import dataset_to_context, load_dataset_csv
 from .domain import schema_from_dict, schema_to_dict
 from .errors import DataError, FuzzysummError, ParseError, SemanticError, UsageError
 from .fsql import Query, parse_query
-from .lattice import ConceptLattice, FuzzyContext, build_lattice, enumerate_concepts
+from .lattice import FuzzyContext, build_lattice, enumerate_concepts
 from .query import MODES, evaluate, satisfaction_degrees
 from .repair import RepairReport, repair
 from .summary import SummaryHierarchy, build_hierarchy
@@ -43,7 +42,7 @@ class ProjectState:
     schema: tuple
     hierarchy: SummaryHierarchy
     context: FuzzyContext | None = None
-    lattice: ConceptLattice | None = None
+    lattice: dict | None = None  # written for ``export``, never read back
     meta: dict = dataclasses.field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -51,7 +50,7 @@ class ProjectState:
             "meta": self.meta,
             "schema": schema_to_dict(self.schema),
             "context": self.context.to_dict() if self.context else None,
-            "lattice": self.lattice.to_dict() if self.lattice else None,
+            "lattice": self.lattice,
             "hierarchy": self.hierarchy.to_dict(),
         }
 
@@ -73,7 +72,7 @@ class ProjectState:
             schema=schema_from_dict(raw["schema"]),
             hierarchy=SummaryHierarchy.from_dict(raw["hierarchy"]),
             context=FuzzyContext.from_dict(raw["context"]) if raw.get("context") else None,
-            lattice=ConceptLattice.from_dict(raw["lattice"]) if raw.get("lattice") else None,
+            lattice=raw.get("lattice") or None,
             meta=raw.get("meta", {}),
         )
 
@@ -97,7 +96,7 @@ def build_state(
     schema = schema_from_dict(json.loads(Path(schema_path).read_text(encoding="utf-8")))
 
     context = None
-    lattice = None
+    lattice_section = None
     if data_path:
         dataset = load_dataset_csv(data_path, schema)
         context = dataset_to_context(dataset, seed=seed)
@@ -111,17 +110,13 @@ def build_state(
     if context is not None:
         lattice = build_lattice(enumerate_concepts(context, threshold), threshold)
         hierarchy = build_hierarchy(lattice)
+        lattice_section = lattice.to_dict()
     else:
         hierarchy = SummaryHierarchy.load(hierarchy_path)
 
-    meta = {
-        "threshold": threshold,
-        "seed": seed,
-        "source": source,
-        "built_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    }
+    meta = {"threshold": threshold, "seed": seed, "source": source}
     return ProjectState(schema=schema, hierarchy=hierarchy, context=context,
-                        lattice=lattice, meta=meta)
+                        lattice=lattice_section, meta=meta)
 
 
 # -- rendering ---------------------------------------------------------------
@@ -206,7 +201,7 @@ def cmd_build(args) -> int:
     state.save(args.out)
     counts = f"{len(state.hierarchy)} summaries"
     if state.lattice:
-        counts = f"{len(state.lattice.concepts)} concepts, " + counts
+        counts = f"{len(state.lattice['concepts'])} concepts, " + counts
     print(f"built {args.out}: {counts}", file=sys.stderr)
     return 0
 
@@ -319,7 +314,7 @@ def cmd_export(args) -> int:
     artifact = {
         "schema": lambda: schema_to_dict(state.schema),
         "context": lambda: state.context.to_dict() if state.context else None,
-        "lattice": lambda: state.lattice.to_dict() if state.lattice else None,
+        "lattice": lambda: state.lattice,
         "hierarchy": lambda: state.hierarchy.to_dict(),
     }[args.what]()
     if artifact is None:

@@ -5,17 +5,21 @@ with degrees in [0,1].  A confidence threshold T binarizes the matrix for
 the derivation operators; concepts keep fuzzy extents, where each object's
 degree is the min of its degrees over the intent.  Concept enumeration is
 lectic (NextClosure) over the attribute side; the Hasse diagram is the
-transitive reduction of extent inclusion.
+transitive reduction of strict intent inclusion (by duality the same edges
+as for extent inclusion).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
 from .errors import ContextError, DataError, UsageError
 
 AttrPair = tuple[str, str]  # (attribute name, label name)
+
+SummaryId = int | str
 
 PAIR_SEP = "::"
 
@@ -49,20 +53,11 @@ class FuzzyContext:
                 if not (0.0 <= value <= 1.0):
                     raise DataError(f"context: degree {value!r} for {g!r} outside [0,1]")
 
-    def object_index(self, obj: str) -> int:
-        try:
-            return self.objects.index(obj)
-        except ValueError:
-            raise ContextError(f"unknown object {obj!r}")
-
-    def attribute_index(self, pair: AttrPair) -> int:
-        try:
-            return self.attributes.index(pair)
-        except ValueError:
-            raise ContextError(f"unknown attribute {pair!r}")
-
     def degree(self, obj: str, pair: AttrPair) -> float:
-        return self.degrees[self.object_index(obj)][self.attribute_index(pair)]
+        try:
+            return self.degrees[self.objects.index(obj)][self.attributes.index(pair)]
+        except ValueError:
+            raise ContextError(f"unknown object {obj!r} or attribute {pair!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -81,77 +76,54 @@ class FuzzyContext:
             raise DataError(f"malformed context JSON: {exc}")
         return FuzzyContext(objects, attributes, degrees)
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
     @staticmethod
     def load(path) -> "FuzzyContext":
         with open(path, "r", encoding="utf-8") as fh:
             return FuzzyContext.from_dict(json.load(fh))
 
 
-@dataclass
-class FuzzyConcept:
-    """(fuzzy extent, crisp intent) fixpoint of the T-binarized derivations.
+@dataclass(frozen=True)
+class ConceptSummary:
+    """One concept, read as a summary: covered tuples with degrees, the set
+    of describing (attribute, label) pairs, and the level (= intent size).
 
-    ``extent`` maps each covered object to min over the intent of its
-    context degrees (1.0 under the empty intent).
-    """
+    ``extent`` maps each covered tuple to min over the intent of its context
+    degrees (1.0 under the empty intent)."""
 
-    id: int
-    extent: dict[str, float]
-    intent: frozenset[AttrPair]
+    id: SummaryId
+    extent: dict[str, float] = field(default_factory=dict)
+    intent: frozenset[AttrPair] = frozenset()
+
+    @property
+    def level(self) -> int:
+        return len(self.intent)
 
     @property
     def crisp_extent(self) -> frozenset[str]:
         return frozenset(self.extent)
 
-    def sigma_count(self) -> float:
-        return sum(self.extent.values())
+    @functools.cached_property
+    def _labels_by_attribute(self) -> dict[str, frozenset[str]]:
+        grouped: dict[str, set[str]] = {}
+        for attr, label in self.intent:
+            grouped.setdefault(attr, set()).add(label)
+        return {attr: frozenset(labels) for attr, labels in grouped.items()}
+
+    def labels_on(self, attr_name: str) -> frozenset[str]:
+        return self._labels_by_attribute.get(attr_name, frozenset())
+
+    def intent_keys(self) -> list[str]:
+        return sorted(pair_key(p) for p in self.intent)
 
 
-def _binarize(ctx: FuzzyContext, threshold: float):
-    """Row bitmasks over attributes: bit j of row g set iff I[g][j] >= T."""
-    rows = []
-    for row in ctx.degrees:
-        mask = 0
-        for j, value in enumerate(row):
-            if value >= threshold:
-                mask |= 1 << j
-        rows.append(mask)
-    return rows
-
-
-def _mask_to_indices(mask: int):
+def _mask_to_indices(mask: int) -> list[int]:
+    """Positions of the set bits, ascending; one step per set bit."""
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
-
-
-def derive_intent(objs, ctx: FuzzyContext, threshold: float) -> set[AttrPair]:
-    """Attributes shared (at degree >= T) by every object in objs; the whole
-    attribute set when objs is empty."""
-    rows = _binarize(ctx, threshold)
-    mask = (1 << len(ctx.attributes)) - 1
-    for obj in objs:
-        mask &= rows[ctx.object_index(obj)]
-    return {ctx.attributes[j] for j in _mask_to_indices(mask)}
-
-
-def derive_extent(attrs, ctx: FuzzyContext, threshold: float) -> set[str]:
-    """Dual of derive_intent: objects having every attribute at degree >= T."""
-    want = 0
-    for pair in attrs:
-        want |= 1 << ctx.attribute_index(pair)
-    rows = _binarize(ctx, threshold)
-    return {g for g, row in zip(ctx.objects, rows) if row & want == want}
 
 
 def _fuzzy_extent(ctx: FuzzyContext, extent_indices, intent_indices) -> dict[str, float]:
@@ -164,39 +136,38 @@ def _fuzzy_extent(ctx: FuzzyContext, extent_indices, intent_indices) -> dict[str
     return out
 
 
-def enumerate_concepts(ctx: FuzzyContext, threshold: float) -> list[FuzzyConcept]:
+def enumerate_concepts(ctx: FuzzyContext, threshold: float) -> list[ConceptSummary]:
     """All concepts of the T-binarized context, in (|intent|, lectic intent)
     order with ids assigned along that order.
 
     Intents are enumerated with NextClosure, so the cost is one closure per
-    concept rather than one per subset.
+    concept rather than one per subset.  Both derivations work on one object
+    bitset per attribute (bit i set iff I[i][j] >= T).
     """
     if not (0.0 <= threshold <= 1.0):
         raise UsageError(f"threshold {threshold!r} outside [0,1]")
-    rows = _binarize(ctx, threshold)
     n, m = len(ctx.objects), len(ctx.attributes)
+    columns = [0] * m
+    for i, row in enumerate(ctx.degrees):
+        for j, value in enumerate(row):
+            if value >= threshold:
+                columns[j] |= 1 << i
+    everyone = (1 << n) - 1
     full = (1 << m) - 1
 
     def extent_of(intent_mask: int) -> int:
-        out = 0
-        for i in range(n):
-            if rows[i] & intent_mask == intent_mask:
-                out |= 1 << i
-        return out
-
-    def intent_of(extent_mask: int) -> int:
-        out = full
-        i = 0
-        mask = extent_mask
-        while mask:
-            if mask & 1:
-                out &= rows[i]
-            mask >>= 1
-            i += 1
+        out = everyone
+        for j in _mask_to_indices(intent_mask):
+            out &= columns[j]
         return out
 
     def closure(intent_mask: int) -> int:
-        return intent_of(extent_of(intent_mask))
+        extent = extent_of(intent_mask)
+        out = 0
+        for j, column in enumerate(columns):
+            if column & extent == extent:
+                out |= 1 << j
+        return out
 
     intents = []
     current = closure(0)
@@ -226,13 +197,50 @@ def enumerate_concepts(ctx: FuzzyContext, threshold: float) -> list[FuzzyConcept
         intent_indices = _mask_to_indices(intent_mask)
         extent_indices = _mask_to_indices(extent_of(intent_mask))
         concepts.append(
-            FuzzyConcept(
+            ConceptSummary(
                 id=cid,
                 extent=_fuzzy_extent(ctx, extent_indices, intent_indices),
                 intent=frozenset(ctx.attributes[j] for j in intent_indices),
             )
         )
     return concepts
+
+
+def cover_edges(intents: list[frozenset]) -> list[tuple[int, int]]:
+    """Hasse diagram of strict intent inclusion, as (child, parent) index
+    pairs ordered by child, then parent: the parent's intent is a strict
+    subset of the child's, with no intent in between.  The intents must be
+    distinct.
+
+    ``subsets[c]`` is a bitset over the nodes: all nodes but c, minus the
+    holders of every attribute missing from c's intent.  c's parents are the
+    members of ``subsets[c]`` outside the union of the members' own
+    subsets.  A member already inside that union adds nothing to it and is
+    skipped; taking the highest index first skips most members when the
+    intents come sorted by size, as ``enumerate_concepts`` returns them.
+    """
+    holders: dict = {}
+    for i, intent in enumerate(intents):
+        for pair in intent:
+            holders[pair] = holders.get(pair, 0) | (1 << i)
+    everyone = (1 << len(intents)) - 1
+    subsets = []
+    for i, intent in enumerate(intents):
+        mask = everyone ^ (1 << i)
+        for pair, held in holders.items():
+            if pair not in intent:
+                mask &= ~held
+        subsets.append(mask)
+    edges = []
+    for child, mask in enumerate(subsets):
+        implied, rest = 0, mask
+        while rest:
+            top = rest.bit_length() - 1
+            implied |= subsets[top]
+            rest ^= 1 << top
+            rest &= ~implied
+        edges.extend((child, parent) for parent in _mask_to_indices(mask & ~implied))
+    return edges
 
 
 def sigma_jaccard(extent_a: dict[str, float], extent_b: dict[str, float]) -> float:
@@ -257,129 +265,40 @@ def sigma_jaccard(extent_a: dict[str, float], extent_b: dict[str, float]) -> flo
     return inter / union
 
 
-def similarity(k1: FuzzyConcept, k2: FuzzyConcept) -> float:
-    """Extent overlap of two concepts, in [0,1] and symmetric."""
-    return sigma_jaccard(k1.extent, k2.extent)
+@dataclass(frozen=True)
+class Lattice:
+    """Complete concept set, its covering pairs (child id, parent id) and
+    the threshold it was enumerated at."""
 
-
-@dataclass
-class ConceptLattice:
-    """Complete concept set plus the covering relation of extent inclusion."""
-
-    concepts: list[FuzzyConcept]
-    covers: list[tuple[int, int]]  # (child id, parent id)
-    top: int
-    bottom: int
+    concepts: list[ConceptSummary]
+    covers: list[tuple[int, int]]
     threshold: float
-    _by_id: dict[int, FuzzyConcept] = field(default_factory=dict, repr=False)
-    _cover_set: set[tuple[int, int]] = field(default_factory=set, repr=False)
-
-    def __post_init__(self):
-        self._by_id = {c.id: c for c in self.concepts}
-        self._cover_set = set(self.covers)
-
-    def concept(self, cid: int) -> FuzzyConcept:
-        try:
-            return self._by_id[cid]
-        except KeyError:
-            raise UsageError(f"no concept with id {cid!r}")
-
-    def children(self, cid: int) -> list[int]:
-        return sorted(child for child, parent in self.covers if parent == cid)
-
-    def parents(self, cid: int) -> list[int]:
-        return sorted(parent for child, parent in self.covers if child == cid)
-
-    def is_cover(self, child: int, parent: int) -> bool:
-        if not self._cover_set:
-            self._cover_set = set(self.covers)
-        return (child, parent) in self._cover_set
-
-    def fuzzy_score(self, child: int, parent: int) -> float:
-        """Edge weight used for satisfaction degrees: the extent overlap of a
-        covering pair."""
-        if not self.is_cover(child, parent):
-            raise UsageError(f"({child}, {parent}) is not a cover edge")
-        return similarity(self.concept(child), self.concept(parent))
 
     def to_dict(self) -> dict:
+        """The state file's ``lattice`` section; the top has the maximal
+        extent, the bottom the maximal intent."""
+        top = max(self.concepts, key=lambda c: (len(c.extent), -len(c.intent))).id
+        bottom = max(self.concepts, key=lambda c: (len(c.intent), -len(c.extent))).id
         return {
             "threshold": self.threshold,
-            "top": self.top,
-            "bottom": self.bottom,
-            "covers": [list(edge) for edge in sorted(self.covers)],
+            "top": top,
+            "bottom": bottom,
+            "covers": [list(edge) for edge in self.covers],
             "concepts": [
                 {
                     "id": c.id,
                     "extent": dict(sorted(c.extent.items())),
-                    "intent": sorted(pair_key(p) for p in c.intent),
+                    "intent": c.intent_keys(),
                 }
                 for c in self.concepts
             ],
         }
 
-    @staticmethod
-    def from_dict(raw: dict) -> "ConceptLattice":
-        concepts = [
-            FuzzyConcept(
-                id=int(entry["id"]),
-                extent={k: float(v) for k, v in entry["extent"].items()},
-                intent=frozenset(parse_pair(k) for k in entry["intent"]),
-            )
-            for entry in raw["concepts"]
-        ]
-        return ConceptLattice(
-            concepts=concepts,
-            covers=[(int(a), int(b)) for a, b in raw["covers"]],
-            top=int(raw["top"]),
-            bottom=int(raw["bottom"]),
-            threshold=float(raw["threshold"]),
-        )
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @staticmethod
-    def load(path) -> "ConceptLattice":
-        with open(path, "r", encoding="utf-8") as fh:
-            return ConceptLattice.from_dict(json.load(fh))
-
-
-def build_lattice(concepts: list[FuzzyConcept], threshold: float = 0.0) -> ConceptLattice:
-    """Hasse diagram of the given complete concept set.
-
-    Covers are the transitive reduction of strict extent inclusion; the top
-    has the maximal extent, the bottom the maximal intent.
-    """
-    seen = set()
-    for c in concepts:
-        key = (c.crisp_extent, c.intent)
-        if key in seen:
-            raise UsageError(f"duplicate concept {sorted(c.intent)!r}")
-        seen.add(key)
-
-    extents = {c.id: c.crisp_extent for c in concepts}
-    covers = []
-    for child in concepts:
-        parents = [p for p in concepts if extents[child.id] < extents[p.id]]
-        for p in parents:
-            # p covers child unless some other parent sits strictly between
-            if not any(extents[q.id] < extents[p.id] for q in parents if q.id != p.id):
-                covers.append((child.id, p.id))
-
-    top = max(concepts, key=lambda c: (len(c.extent), -len(c.intent))).id
-    bottom = max(concepts, key=lambda c: (len(c.intent), -len(c.extent))).id
-    return ConceptLattice(
-        concepts=list(concepts),
-        covers=sorted(covers),
-        top=top,
-        bottom=bottom,
-        threshold=threshold,
-    )
-
-
-def fuzzy_score(child: FuzzyConcept, parent: FuzzyConcept) -> float:
-    """Same overlap measure as similarity(), read along a hierarchy edge."""
-    return similarity(child, parent)
+def build_lattice(concepts: list[ConceptSummary], threshold: float = 0.0) -> Lattice:
+    """Hasse diagram of the given complete concept set."""
+    if len({c.intent for c in concepts}) != len(concepts):
+        raise UsageError("duplicate concept intents")
+    edges = cover_edges([c.intent for c in concepts])
+    covers = sorted((concepts[child].id, concepts[parent].id) for child, parent in edges)
+    return Lattice(concepts=list(concepts), covers=covers, threshold=threshold)

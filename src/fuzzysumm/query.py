@@ -74,12 +74,6 @@ class ConjunctiveProposition:
 
 
 @dataclass(frozen=True)
-class AttributePartition:
-    inputs: frozenset[str]
-    outputs: frozenset[str]
-
-
-@dataclass(frozen=True)
 class Correspondence:
     verdict: Verdict
     per_attribute: dict[str, Grade]
@@ -120,16 +114,6 @@ def resolve_comparator(cond: Condition, attr: AttributeSpec) -> frozenset[str]:
             f"{cond.comparator} {sorted(cond.labels)!r} selects no label of {attr.name!r}"
         )
     return selected
-
-
-def partition_attributes(query: Query, schema) -> AttributePartition:
-    """Constrained attributes vs. requested-answer attributes."""
-    inputs = frozenset(c.attribute for c in query.conditions)
-    if query.projection is None:
-        outputs = frozenset(a.name for a in schema) - inputs
-    else:
-        outputs = frozenset(query.projection) - inputs
-    return AttributePartition(inputs=inputs, outputs=outputs)
 
 
 def default_alpha(query: Query, schema) -> float:
@@ -298,13 +282,6 @@ def satisfaction_degrees(h: SummaryHierarchy) -> Mapping:
             sd[summary.id] = best
     h.sd_memo = MappingProxyType(sd)
     return h.sd_memo
-
-
-def satisfaction_degree(sid, h: SummaryHierarchy) -> float:
-    sd = satisfaction_degrees(h)
-    if sid not in sd:
-        raise UsageError(f"summary {sid!r} is not reachable from the root")
-    return sd[sid]
 
 
 @dataclass(frozen=True)

@@ -10,48 +10,14 @@ tables usable as query targets without re-running the pipeline.
 
 from __future__ import annotations
 
-import functools
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DataError, UsageError
-from .lattice import AttrPair, ConceptLattice, pair_key, parse_pair
-
-SummaryId = int | str
+from .lattice import ConceptSummary, Lattice, cover_edges, parse_pair
 
 SYNTHETIC_ROOT_ID = "root"
-
-
-@dataclass(frozen=True)
-class ConceptSummary:
-    """One node of the hierarchy: covered tuples with degrees, the set of
-    describing (attribute, label) pairs, and the level (= intent size)."""
-
-    id: SummaryId
-    extent: dict[str, float] = field(default_factory=dict)
-    intent: frozenset[AttrPair] = frozenset()
-
-    @property
-    def level(self) -> int:
-        return len(self.intent)
-
-    @property
-    def crisp_extent(self) -> frozenset[str]:
-        return frozenset(self.extent)
-
-    @functools.cached_property
-    def _labels_by_attribute(self) -> dict[str, frozenset[str]]:
-        grouped: dict[str, set[str]] = {}
-        for attr, label in self.intent:
-            grouped.setdefault(attr, set()).add(label)
-        return {attr: frozenset(labels) for attr, labels in grouped.items()}
-
-    def labels_on(self, attr_name: str) -> frozenset[str]:
-        return self._labels_by_attribute.get(attr_name, frozenset())
-
-    def intent_keys(self) -> list[str]:
-        return sorted(pair_key(p) for p in self.intent)
 
 
 @dataclass(frozen=True)
@@ -76,10 +42,13 @@ def alpha_cut(summary: ConceptSummary, alpha: float) -> AlphaSummary:
 class SummaryHierarchy:
     """Summaries ordered by intent inclusion, rooted at the empty intent.
 
-    ``children`` is the transitive reduction of strict intent inclusion
-    (recomputed on load, so externally supplied edge lists cannot
-    contradict the intents).  When no empty-intent summary exists, a
-    synthetic root covering every tuple at degree 1 is added.
+    ``children`` is the transitive reduction of strict intent inclusion:
+    the ``covers`` pairs (child id, parent id) when the caller already holds
+    them, as ``build_hierarchy`` does, otherwise ``cover_edges`` of the
+    intents.  Edge lists in hierarchy JSON are not read, so they cannot
+    contradict the intents.  When no empty-intent summary exists, a
+    synthetic root covering every tuple at degree 1 is added above the
+    parentless summaries.
 
     A hierarchy is immutable once ``__init__`` returns: nothing adds,
     removes or edits a summary or an edge afterwards.  Data derived from the
@@ -88,13 +57,15 @@ class SummaryHierarchy:
     first call.
     """
 
-    def __init__(self, summaries: list[ConceptSummary]):
+    def __init__(self, summaries: list[ConceptSummary], covers=None):
         ids = [s.id for s in summaries]
         if len(set(ids)) != len(ids):
             raise DataError("duplicate summary ids")
         intents = [s.intent for s in summaries]
         if len(set(intents)) != len(intents):
             raise DataError("duplicate summary intents")
+        if covers is None:
+            covers = [(ids[child], ids[parent]) for child, parent in cover_edges(intents)]
 
         roots = [s for s in summaries if not s.intent]
         if len(roots) > 1:
@@ -102,7 +73,7 @@ class SummaryHierarchy:
         if roots:
             root = roots[0]
         else:
-            if any(s.id == SYNTHETIC_ROOT_ID for s in summaries):
+            if SYNTHETIC_ROOT_ID in ids:
                 raise DataError(f"cannot synthesize root: id {SYNTHETIC_ROOT_ID!r} taken")
             tuples = sorted({tid for s in summaries for tid in s.extent})
             root = ConceptSummary(SYNTHETIC_ROOT_ID, {tid: 1.0 for tid in tuples}, frozenset())
@@ -112,12 +83,14 @@ class SummaryHierarchy:
         self.root = root.id
         self.children: dict[object, list] = {s.id: [] for s in summaries}
         self._parents: dict[object, list] = {s.id: [] for s in summaries}
-        for child in summaries:
-            uppers = [p for p in summaries if p.intent < child.intent]
-            for p in uppers:
-                if not any(p.intent < q.intent for q in uppers if q.id != p.id):
-                    self.children[p.id].append(child.id)
-                    self._parents[child.id].append(p.id)
+        for child, parent in covers:
+            self.children[parent].append(child)
+            self._parents[child].append(parent)
+        if not roots:
+            for sid in ids:
+                if not self._parents[sid]:
+                    self.children[root.id].append(sid)
+                    self._parents[sid].append(root.id)
         for cid in self.children:
             self.children[cid].sort(key=str)
             self._parents[cid].sort(key=str)
@@ -174,17 +147,10 @@ class SummaryHierarchy:
         try:
             entries = raw["summaries"]
         except (KeyError, TypeError):
+            entries = None
+        if not isinstance(entries, dict):
             raise DataError("hierarchy JSON must carry a 'summaries' object")
-        summaries = []
-        for sid, entry in entries.items():
-            summaries.append(
-                ConceptSummary(
-                    id=sid,
-                    extent={k: float(v) for k, v in entry.get("extent", {}).items()},
-                    intent=frozenset(parse_pair(k) for k in entry.get("intent", [])),
-                )
-            )
-        return SummaryHierarchy(summaries)
+        return SummaryHierarchy([_summary_from_dict(sid, entry) for sid, entry in entries.items()])
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -197,10 +163,28 @@ class SummaryHierarchy:
             return SummaryHierarchy.from_dict(json.load(fh))
 
 
-def build_hierarchy(lat: ConceptLattice) -> SummaryHierarchy:
-    """Present a concept lattice as a summary hierarchy (same nodes, same
-    covering edges, intent-size levels)."""
-    summaries = [
-        ConceptSummary(id=c.id, extent=dict(c.extent), intent=c.intent) for c in lat.concepts
-    ]
-    return SummaryHierarchy(summaries)
+def _summary_from_dict(sid: str, entry) -> ConceptSummary:
+    if not isinstance(entry, dict):
+        raise DataError(f"summary {sid!r} is not a JSON object")
+    intent = entry.get("intent", [])
+    if not isinstance(intent, list) or not all(isinstance(key, str) for key in intent):
+        raise DataError(f"summary {sid!r}: intent is not a list of 'Attr::Label' strings")
+    extent = entry.get("extent", {})
+    if not isinstance(extent, dict):
+        raise DataError(f"summary {sid!r}: extent is not a JSON object")
+    for tid, degree in extent.items():
+        if isinstance(degree, bool) or not isinstance(degree, (int, float)):
+            raise DataError(f"summary {sid!r}: degree {degree!r} of {tid!r} is not a number")
+        if not 0.0 <= degree <= 1.0:
+            raise DataError(f"summary {sid!r}: degree {degree!r} of {tid!r} outside [0,1]")
+    return ConceptSummary(
+        id=sid,
+        extent={tid: float(degree) for tid, degree in extent.items()},
+        intent=frozenset(parse_pair(key) for key in intent),
+    )
+
+
+def build_hierarchy(lat: Lattice) -> SummaryHierarchy:
+    """Present a concept lattice as a summary hierarchy: the same nodes and
+    covering edges, intent-size levels."""
+    return SummaryHierarchy(lat.concepts, lat.covers)

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the package's own derivation code:
 concepts are found by closing every object subset with direct matrix
-scans, and the reference clustering is a plain textbook loop.
+scans, covers by the pairwise definition of a transitive reduction, and the
+reference clustering is a plain textbook loop.
 """
 
 from __future__ import annotations
@@ -76,6 +77,20 @@ def oracle_concepts(ctx: FuzzyContext, threshold):
             extent = oracle_extent(ctx, intent, threshold)
             found.add((frozenset(extent), frozenset(intent)))
     return found
+
+
+def oracle_covers(keys, below):
+    """(child, parent) index pairs of the transitive reduction of the strict
+    order ``below(a, b)`` ("a sits strictly under b"), by the pairwise
+    definition: p covers c when c is below p and no third node lies between
+    them.  Sorted by child, then parent."""
+    out = []
+    for c, key in enumerate(keys):
+        uppers = [p for p, other in enumerate(keys) if below(key, other)]
+        for p in uppers:
+            if not any(below(keys[q], keys[p]) for q in uppers if q != p):
+                out.append((c, p))
+    return sorted(out)
 
 
 def random_context(rng: np.random.Generator, max_objects=10, max_attrs=8) -> FuzzyContext:

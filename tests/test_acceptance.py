@@ -157,11 +157,11 @@ def test_c06_concept_analysis_property_suite():
         if ours != oracle_concepts(ctx, threshold):
             violations.append((case, "concept set differs from oracle"))
 
-        lattice = build_lattice(concepts, threshold)
-        for child, parent in lattice.covers:
-            if not lattice.concept(child).crisp_extent < lattice.concept(parent).crisp_extent:
+        by_id = {c.id: c for c in concepts}
+        for child, parent in build_lattice(concepts, threshold).covers:
+            if not by_id[child].crisp_extent < by_id[parent].crisp_extent:
                 violations.append((case, "cover edge without extent inclusion"))
-            if not lattice.concept(parent).intent < lattice.concept(child).intent:
+            if not by_id[parent].intent < by_id[child].intent:
                 violations.append((case, "cover edge without intent inclusion"))
     assert violations == []
     report(6, "closure/antitone/oracle/cover properties hold on 200 random contexts")

@@ -11,6 +11,8 @@ from conftest import FIXTURES
 Q1 = "Select Income, ProfessionalBackground From Employee Where Age FEQ $Young THOLD 0.5;"
 Q4 = ("Select 3 0.25 Dairy-product, Lipid From Food-consumption "
       "Where Age FEQ ($Old) THOLD 0.25 AND Candy FEQ ($Excessive) THOLD 0.25;")
+Q4_EMPLOYEE = ("Select * From Employee Where Age FEQ ($Young, $Adult) THOLD 0.3 "
+               "And Income FEQ ($Poor, $Modest) THOLD 0.3;")
 
 
 def run_cli(*argv, stdin=None):
@@ -72,7 +74,7 @@ class TestBuild:
         )
         assert proc.returncode == 0
         state = ProjectState.load(out)
-        assert len(state.lattice.concepts) == 6
+        assert len(state.lattice["concepts"]) == 6
 
     def test_build_rejects_two_sources(self, tmp_path):
         proc = run_cli(
@@ -108,9 +110,7 @@ class TestBuild:
                 "--seed", "11",
                 "--out", str(out),
             )
-            raw = json.loads(out.read_text())
-            raw.pop("meta")
-            payloads.append(raw)
+            payloads.append(out.read_bytes())
         assert payloads[0] == payloads[1]
 
 
@@ -269,6 +269,45 @@ def test_malformed_state_exits_one(tmp_path, capsys, raw):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("summaries, reason", [
+    ({"a": 5}, "is not a JSON object"),
+    ({"a": {"intent": "Age::Young", "extent": {}}}, "intent is not a list"),
+    ({"a": {"intent": ["Age::Young"], "extent": {"t1": "high"}}}, "is not a number"),
+    ({"a": {"intent": ["Age::Young"], "extent": {"t1": 7.5}}}, "outside [0,1]"),
+])
+def test_malformed_hierarchy_section_exits_one(tmp_path, capsys, summaries, reason):
+    schema = json.loads((FIXTURES / "employee_schema.json").read_text())
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"schema": schema, "hierarchy": {"summaries": summaries}}))
+    assert main(["query", str(path), Q1]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: summary 'a'")
+    assert reason in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("schema, source, queries", [
+    ("employee_schema.json", {"hierarchy_path": "employee_hierarchy.json"}, (Q1, Q4_EMPLOYEE)),
+    ("employee_schema.json", {"data_path": "employee_numeric.csv"}, (Q1, Q4_EMPLOYEE)),
+    ("food_schema.json", {"hierarchy_path": "food_hierarchy.json"}, (Q4,)),
+    ("food_schema.json", {"data_path": "food.csv"},
+     ("Select * From Food-consumption Where Age FEQ $Old AND Candy FEQ $Low;",)),
+])
+def test_save_load_keeps_edges_and_payloads(tmp_path, schema, source, queries):
+    state = build_state(FIXTURES / schema, threshold=0.4,
+                        **{key: FIXTURES / name for key, name in source.items()})
+    path = tmp_path / "s.json"
+    state.save(path)
+    reloaded = ProjectState.load(path)
+    assert reloaded.hierarchy.to_dict()["children"] == state.hierarchy.to_dict()["children"]
+    for text in queries:
+        for mode in ("strict", "tolerant", "exhaustive"):
+            before = run_query(state, text, mode, None, None)[1]
+            after = run_query(reloaded, text, mode, None, None)[1]
+            assert after == before
 
 
 def test_save_load_query_is_bit_identical(tmp_path):

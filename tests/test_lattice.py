@@ -1,25 +1,35 @@
 
+import json
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fuzzysumm.cli import ProjectState, build_state, dumps, main
 from fuzzysumm.errors import ContextError, UsageError
 from fuzzysumm.lattice import (
-    ConceptLattice,
-    FuzzyConcept,
+    ConceptSummary,
     FuzzyContext,
     build_lattice,
-    derive_extent,
-    derive_intent,
+    cover_edges,
     enumerate_concepts,
-    fuzzy_score,
     sigma_jaccard,
-    similarity,
 )
 
-from conftest import oracle_concepts, random_context
+from conftest import (
+    FIXTURES,
+    oracle_concepts,
+    oracle_covers,
+    oracle_extent,
+    oracle_intent,
+    random_context,
+)
 
 D, C, F = ("Topic", "D"), ("Topic", "C"), ("Topic", "F")
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture
@@ -27,30 +37,49 @@ def topics(topics_context):
     return topics_context
 
 
+def derived_intent(concepts, objs) -> set:
+    """objs' read off the concept set: the intent of the smallest concept
+    whose extent holds objs."""
+    holders = [c for c in concepts if set(objs) <= c.crisp_extent]
+    return set(max(holders, key=lambda c: len(c.intent)).intent)
+
+
+def derived_extent(concepts, attrs) -> set:
+    """attrs' read off the concept set: the extent of the largest concept
+    whose intent holds attrs."""
+    holders = [c for c in concepts if set(attrs) <= c.intent]
+    return set(min(holders, key=lambda c: len(c.intent)).crisp_extent)
+
+
 class TestDerivations:
-    def test_single_object_intent(self, topics):
-        assert derive_intent({"D1"}, topics, 0.5) == {D, F}
+    @pytest.fixture
+    def concepts(self, topics):
+        return enumerate_concepts(topics, 0.5)
 
-    def test_all_objects_share_nothing(self, topics):
-        assert derive_intent({"D1", "D2", "D3"}, topics, 0.5) == set()
+    def test_single_object_intent(self, concepts):
+        assert derived_intent(concepts, {"D1"}) == {D, F}
 
-    def test_empty_object_set_yields_all_attributes(self, topics):
-        assert derive_intent(set(), topics, 0.5) == {D, C, F}
+    def test_all_objects_share_nothing(self, concepts):
+        assert derived_intent(concepts, {"D1", "D2", "D3"}) == set()
 
-    def test_single_attribute_extent(self, topics):
-        assert derive_extent({D}, topics, 0.5) == {"D1", "D2"}
+    def test_empty_object_set_yields_all_attributes(self, concepts):
+        assert derived_intent(concepts, set()) == {D, C, F}
 
-    def test_two_attribute_extent(self, topics):
-        assert derive_extent({D, C}, topics, 0.5) == {"D2"}
+    def test_single_attribute_extent(self, concepts):
+        assert derived_extent(concepts, {D}) == {"D1", "D2"}
 
-    def test_empty_attribute_set_yields_all_objects(self, topics):
-        assert derive_extent(set(), topics, 0.5) == {"D1", "D2", "D3"}
+    def test_two_attribute_extent(self, concepts):
+        assert derived_extent(concepts, {D, C}) == {"D2"}
+
+    def test_empty_attribute_set_yields_all_objects(self, concepts):
+        assert derived_extent(concepts, set()) == {"D1", "D2", "D3"}
 
     def test_unknown_names_rejected(self, topics):
+        assert topics.degree("D1", D) == 0.8
         with pytest.raises(ContextError):
-            derive_intent({"nope"}, topics, 0.5)
+            topics.degree("nope", D)
         with pytest.raises(ContextError):
-            derive_extent({("Topic", "nope")}, topics, 0.5)
+            topics.degree("D1", ("Topic", "nope"))
 
 
 class TestEnumerate:
@@ -102,19 +131,20 @@ class TestLattice:
         lat = build_lattice(enumerate_concepts(topics, 0.5), 0.5)
         assert len(lat.concepts) == 6
         assert len(lat.covers) == 7
-        top = lat.concept(lat.top)
-        bottom = lat.concept(lat.bottom)
-        assert top.intent == frozenset()
-        assert bottom.intent == {D, C, F}
+        by_id = {c.id: c for c in lat.concepts}
+        section = lat.to_dict()
+        assert by_id[section["top"]].intent == frozenset()
+        assert by_id[section["bottom"]].intent == {D, C, F}
         for child, parent in lat.covers:
-            assert lat.concept(child).crisp_extent < lat.concept(parent).crisp_extent
-            assert lat.concept(parent).intent < lat.concept(child).intent
+            assert by_id[child].crisp_extent < by_id[parent].crisp_extent
+            assert by_id[parent].intent < by_id[child].intent
 
     def test_single_concept_lattice(self):
         ctx = FuzzyContext(("a",), (("X", "p"),), ((1.0,),))
         lat = build_lattice(enumerate_concepts(ctx, 0.5), 0.5)
         assert lat.covers == []
-        assert lat.top == lat.bottom
+        section = lat.to_dict()
+        assert section["top"] == section["bottom"]
 
     def test_nested_rows_give_a_path(self):
         ctx = FuzzyContext(
@@ -125,39 +155,83 @@ class TestLattice:
         lat = build_lattice(enumerate_concepts(ctx, 0.5), 0.5)
         assert len(lat.concepts) == 3
         assert len(lat.covers) == 2
-        degrees = {cid: len(lat.children(cid)) for cid in range(3)}
-        assert sorted(degrees.values()) == [0, 1, 1]
+        children = Counter(parent for _, parent in lat.covers)
+        assert sorted(children[cid] for cid in range(3)) == [0, 1, 1]
 
     def test_duplicate_concepts_rejected(self):
-        c = FuzzyConcept(0, {"a": 1.0}, frozenset())
-        d = FuzzyConcept(1, {"a": 1.0}, frozenset())
+        c = ConceptSummary(0, {"a": 1.0}, frozenset())
+        d = ConceptSummary(1, {"a": 1.0}, frozenset())
         with pytest.raises(UsageError):
             build_lattice([c, d])
 
-    def test_json_round_trip(self, topics):
+    def test_json_round_trip(self, topics, tmp_path):
+        """The lattice section is written at build and carried through
+        load and save unchanged."""
+        state = build_state(FIXTURES / "topics_schema.json",
+                            context_path=FIXTURES / "topics_context.json", threshold=0.5)
         lat = build_lattice(enumerate_concepts(topics, 0.5), 0.5)
-        again = ConceptLattice.from_dict(lat.to_dict())
-        assert again.to_dict() == lat.to_dict()
+        assert state.lattice == lat.to_dict()
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        state.save(first)
+        loaded = ProjectState.load(first)
+        assert loaded.lattice == lat.to_dict()
+        loaded.save(second)
+        sections = [dumps(json.loads(path.read_text())["lattice"]) for path in (first, second)]
+        assert sections[0] == sections[1]
+
+    def test_golden_lattice_export(self, tmp_path):
+        """export --what lattice writes the same bytes as before the covers
+        moved onto intent bitsets (tests/golden/topics_lattice.json)."""
+        state, out = tmp_path / "s.json", tmp_path / "lattice.json"
+        assert main(["build", "--schema", str(FIXTURES / "topics_schema.json"),
+                     "--context", str(FIXTURES / "topics_context.json"),
+                     "--threshold", "0.5", "--out", str(state)]) == 0
+        assert main(["export", str(state), "--what", "lattice", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "topics_lattice.json").read_bytes()
 
     def test_context_json_round_trip(self, topics):
         assert FuzzyContext.from_dict(topics.to_dict()) == topics
 
 
+class TestCovers:
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.lists(st.frozensets(st.sampled_from([D, C, F, ("X", "p"), ("X", "q")])),
+                 unique=True, max_size=14),
+        st.booleans(),
+    )
+    def test_cover_edges_equal_pairwise_reduction(self, intents, with_empty):
+        """Any family of distinct intents, lattice or not, with or without
+        the empty intent."""
+        if with_empty and frozenset() not in intents:
+            intents = intents + [frozenset()]
+        elif not with_empty and frozenset() in intents:
+            intents.remove(frozenset())
+        assert cover_edges(intents) == oracle_covers(intents, lambda a, b: b < a)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([0.3, 0.5, 0.7]))
+    def test_lattice_covers_equal_extent_reduction(self, seed, threshold):
+        rng = np.random.default_rng(seed)
+        ctx = random_context(rng, max_objects=8, max_attrs=6)
+        concepts = enumerate_concepts(ctx, threshold)
+        extents = [c.crisp_extent for c in concepts]
+        assert build_lattice(concepts, threshold).covers == oracle_covers(
+            extents, lambda a, b: a < b)
+
+
 class TestSimilarity:
     def test_self_similarity_is_one(self):
-        k = FuzzyConcept(0, {"a": 0.8, "b": 0.5}, frozenset())
-        assert similarity(k, k) == 1.0
+        extent = {"a": 0.8, "b": 0.5}
+        assert sigma_jaccard(extent, extent) == 1.0
 
     def test_hand_computed_value(self):
         # min-sum 0.85, max-sum 0.8 + 0.9 = 1.7 -> 0.5
-        k1 = FuzzyConcept(0, {"D1": 0.8, "D2": 0.9}, frozenset())
-        k2 = FuzzyConcept(1, {"D2": 0.85}, frozenset({D}))
-        assert similarity(k1, k2) == pytest.approx(0.85 / 1.7, abs=1e-12)
+        assert sigma_jaccard({"D1": 0.8, "D2": 0.9}, {"D2": 0.85}) == pytest.approx(
+            0.85 / 1.7, abs=1e-12)
 
     def test_disjoint_extents(self):
-        k1 = FuzzyConcept(0, {"a": 1.0}, frozenset())
-        k2 = FuzzyConcept(1, {"b": 1.0}, frozenset())
-        assert similarity(k1, k2) == 0.0
+        assert sigma_jaccard({"a": 1.0}, {"b": 1.0}) == 0.0
 
     def test_both_empty(self):
         assert sigma_jaccard({}, {}) == 0.0
@@ -171,18 +245,6 @@ class TestSimilarity:
         assert 0.0 <= value <= 1.0
         assert value == pytest.approx(sigma_jaccard(eb, ea), abs=1e-12)
 
-    def test_fuzzy_score_requires_cover_edge(self, topics):
-        lat = build_lattice(enumerate_concepts(topics, 0.5), 0.5)
-        child, parent = lat.covers[0]
-        assert lat.fuzzy_score(child, parent) == similarity(
-            lat.concept(child), lat.concept(parent)
-        )
-        assert fuzzy_score(lat.concept(child), lat.concept(parent)) == lat.fuzzy_score(
-            child, parent
-        )
-        with pytest.raises(UsageError):
-            lat.fuzzy_score(lat.top, lat.bottom)
-
 
 class TestClosureProperties:
     @settings(deadline=None, max_examples=60)
@@ -191,19 +253,23 @@ class TestClosureProperties:
         rng = np.random.default_rng(seed)
         ctx = random_context(rng, max_objects=6, max_attrs=5)
 
+        concepts = enumerate_concepts(ctx, threshold)
+
         objs = set(ctx.objects[: max(1, len(ctx.objects) // 2)])
-        intent = derive_intent(objs, ctx, threshold)
-        extent = derive_extent(intent, ctx, threshold)
+        intent = derived_intent(concepts, objs)
+        assert intent == oracle_intent(ctx, objs, threshold)
+        extent = derived_extent(concepts, intent)
+        assert extent == oracle_extent(ctx, intent, threshold)
         assert objs <= extent  # A subset of A**
-        assert derive_intent(extent, ctx, threshold) == intent  # A* == A***
+        assert derived_intent(concepts, extent) == intent  # A* == A***
 
         attrs = set(ctx.attributes[: max(1, len(ctx.attributes) // 2)])
-        assert attrs <= derive_intent(derive_extent(attrs, ctx, threshold), ctx, threshold)
+        assert attrs <= derived_intent(concepts, derived_extent(concepts, attrs))
 
         bigger = set(ctx.objects)
-        assert derive_intent(bigger, ctx, threshold) <= intent  # antitone
+        assert derived_intent(concepts, bigger) <= intent  # antitone
 
-        ours = {(c.crisp_extent, c.intent) for c in enumerate_concepts(ctx, threshold)}
+        ours = {(c.crisp_extent, c.intent) for c in concepts}
         assert ours == oracle_concepts(ctx, threshold)
 
     @settings(deadline=None, max_examples=30)

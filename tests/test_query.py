@@ -21,10 +21,8 @@ from fuzzysumm.query import (
     evaluate,
     grade,
     overlaps_everywhere,
-    partition_attributes,
     resolve_comparator,
     rewrite,
-    satisfaction_degree,
     satisfaction_degrees,
     search,
 )
@@ -99,31 +97,6 @@ class TestResolveComparator:
         assert resolve_comparator(Condition("L", "FGEQ", ("b", "d")), five) == {
             "b", "c", "d", "e"}
         assert resolve_comparator(Condition("L", "MGT", ("a", "c")), five) == {"e"}
-
-
-class TestPartition:
-    def test_q2_partition(self, employee_schema):
-        part = partition_attributes(parse_query(Q2, employee_schema), employee_schema)
-        assert part.inputs == {"Age", "Income"}
-        assert part.outputs == {"ProfessionalBackground"}
-
-    def test_q1_partition(self, employee_schema):
-        part = partition_attributes(parse_query(Q1, employee_schema), employee_schema)
-        assert part.inputs == {"Age"}
-        assert part.outputs == {"Income", "ProfessionalBackground"}
-
-    def test_no_where_clause(self, employee_schema):
-        part = partition_attributes(
-            parse_query("Select Age From Employee", employee_schema), employee_schema
-        )
-        assert part.inputs == frozenset()
-        assert part.outputs == {"Age"}
-
-    def test_star_projection_covers_the_rest(self, employee_schema):
-        part = partition_attributes(parse_query(Q3, employee_schema), employee_schema)
-        assert part.inputs == {"Age", "Income"}
-        assert part.outputs == {"ProfessionalBackground"}
-        assert not (part.inputs & part.outputs)
 
 
 class TestDefaultAlpha:
@@ -264,12 +237,12 @@ class TestSearch:
 
 class TestSatisfactionDegree:
     def test_root_is_zero(self, employee_hierarchy):
-        assert satisfaction_degree("z0", employee_hierarchy) == 0.0
+        assert satisfaction_degrees(employee_hierarchy)["z0"] == 0.0
 
     def test_single_edge_is_one_overlap(self, employee_hierarchy):
         # z0 covers all six tuples at 1; z11 sigma-count 2.8 -> 2.8/6
-        assert satisfaction_degree("z11", employee_hierarchy) == pytest.approx(2.8 / 6,
-                                                                               abs=1e-12)
+        assert satisfaction_degrees(employee_hierarchy)["z11"] == pytest.approx(2.8 / 6,
+                                                                                abs=1e-12)
 
     def test_max_over_paths_on_a_diamond(self):
         h = SummaryHierarchy([
@@ -300,9 +273,13 @@ class TestSatisfactionDegree:
                 assert sds[sid] >= total - 1e-12
             assert sds[sid] == pytest.approx(max(through), abs=1e-12)
 
-    def test_unknown_id(self, employee_hierarchy):
-        with pytest.raises(UsageError):
-            satisfaction_degree("zz", employee_hierarchy)
+    def test_unknown_id(self, employee_hierarchy, food_hierarchy):
+        """Every summary is reachable from the root, so every summary and
+        nothing else gets a degree."""
+        for h in (employee_hierarchy, food_hierarchy):
+            sds = satisfaction_degrees(h)
+            assert set(sds) == set(h.summaries)
+            assert "zz" not in sds
 
     def test_one_sweep_per_hierarchy(self, monkeypatch, food_schema):
         h = SummaryHierarchy.load(FIXTURES / "food_hierarchy.json")

@@ -1,14 +1,18 @@
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fuzzysumm.errors import DataError, UsageError
-from fuzzysumm.lattice import build_lattice, enumerate_concepts
+from fuzzysumm.lattice import FuzzyContext, build_lattice, enumerate_concepts
 from fuzzysumm.summary import (
+    SYNTHETIC_ROOT_ID,
     ConceptSummary,
     SummaryHierarchy,
     alpha_cut,
     build_hierarchy,
 )
+
+from conftest import random_context
 
 
 def summaries_from(spec):
@@ -38,6 +42,28 @@ class TestBuildHierarchy:
         assert h.root == "r"
         assert h.children["r"] == ["x"]
         assert h.children["x"] == []
+
+    def test_synthetic_root_over_the_lattice_top(self):
+        # every object holds X::p, so the lattice top is not the empty intent
+        ctx = FuzzyContext(("a", "b"), (("X", "p"), ("X", "q")), ((1.0, 1.0), (1.0, 0.0)))
+        h = build_hierarchy(build_lattice(enumerate_concepts(ctx, 0.5), 0.5))
+        assert h.root == SYNTHETIC_ROOT_ID
+        assert h.children[SYNTHETIC_ROOT_ID] == [0]
+        assert h.children[0] == [1]
+        assert h.parents(0) == [SYNTHETIC_ROOT_ID]
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([0.3, 0.5, 0.7]))
+    def test_lattice_covers_equal_computed_covers(self, seed, threshold):
+        """build_hierarchy hands the lattice's covers to the constructor; a
+        bare constructor computes them from the intents.  Both agree, with
+        or without a synthesized root."""
+        ctx = random_context(np.random.default_rng(seed), max_objects=8, max_attrs=6)
+        lat = build_lattice(enumerate_concepts(ctx, threshold), threshold)
+        built, bare = build_hierarchy(lat), SummaryHierarchy(lat.concepts)
+        assert built.root == bare.root
+        assert built.children == bare.children
+        assert all(built.parents(sid) == bare.parents(sid) for sid in bare.summaries)
 
     def test_employee_level_one_matches_published_table(self, employee_hierarchy):
         intents = sorted(
