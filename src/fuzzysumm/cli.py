@@ -30,7 +30,7 @@ from .fsql import Query, parse_query
 from .lattice import FuzzyContext, build_lattice, enumerate_concepts
 from .query import MODES, evaluate, satisfaction_degrees
 from .repair import RepairReport, repair
-from .summary import SummaryHierarchy, build_hierarchy
+from .summary import SummaryHierarchy, build_hierarchy, lattice_section
 
 
 def dumps(obj) -> str:
@@ -42,15 +42,17 @@ class ProjectState:
     schema: tuple
     hierarchy: SummaryHierarchy
     context: FuzzyContext | None = None
-    lattice: dict | None = None  # written for ``export``, never read back
     meta: dict = dataclasses.field(default_factory=dict)
 
     def to_dict(self) -> dict:
+        """The state file; the ``lattice`` section is a view of the
+        hierarchy, written for states built from a context and never read
+        back."""
         return {
             "meta": self.meta,
             "schema": schema_to_dict(self.schema),
             "context": self.context.to_dict() if self.context else None,
-            "lattice": self.lattice,
+            "lattice": lattice_section(self.hierarchy) if self.context else None,
             "hierarchy": self.hierarchy.to_dict(),
         }
 
@@ -72,7 +74,6 @@ class ProjectState:
             schema=schema_from_dict(raw["schema"]),
             hierarchy=SummaryHierarchy.from_dict(raw["hierarchy"]),
             context=FuzzyContext.from_dict(raw["context"]) if raw.get("context") else None,
-            lattice=raw.get("lattice") or None,
             meta=raw.get("meta", {}),
         )
 
@@ -96,7 +97,6 @@ def build_state(
     schema = schema_from_dict(json.loads(Path(schema_path).read_text(encoding="utf-8")))
 
     context = None
-    lattice_section = None
     if data_path:
         dataset = load_dataset_csv(data_path, schema)
         context = dataset_to_context(dataset, seed=seed)
@@ -108,15 +108,12 @@ def build_state(
         source = str(hierarchy_path)
 
     if context is not None:
-        lattice = build_lattice(enumerate_concepts(context, threshold), threshold)
-        hierarchy = build_hierarchy(lattice)
-        lattice_section = lattice.to_dict()
+        hierarchy = build_hierarchy(build_lattice(enumerate_concepts(context, threshold)))
     else:
         hierarchy = SummaryHierarchy.load(hierarchy_path)
 
     meta = {"threshold": threshold, "seed": seed, "source": source}
-    return ProjectState(schema=schema, hierarchy=hierarchy, context=context,
-                        lattice=lattice_section, meta=meta)
+    return ProjectState(schema=schema, hierarchy=hierarchy, context=context, meta=meta)
 
 
 # -- rendering ---------------------------------------------------------------
@@ -132,7 +129,7 @@ def render_results_table(results) -> str:
     lines = [f"{'#':>2}  {'summary':<10} {'sd':>8}  {'alpha':>5}  extent / intent"]
     for rank, r in enumerate(results, start=1):
         lines.append(
-            f"{rank:>2}  {str(r.summary_id):<10} {r.sd:>8.4f}  {r.alpha:>5.2f}  "
+            f"{rank:>2}  {r.summary_id:<10} {r.sd:>8.4f}  {r.alpha:>5.2f}  "
             f"{_fmt_extent(r.extent)}  [{', '.join(r.intent)}]"
         )
     return "\n".join(lines) + "\n"
@@ -150,7 +147,7 @@ def render_repair_table(report: RepairReport) -> str:
             lines.append(f"  [{idx}] (distance {sub.distance}) {sub.query.render()}")
             lines.append(
                 f"      -> {len(sub.results)} result(s): "
-                + ", ".join(str(r.summary_id) for r in sub.results)
+                + ", ".join(r.summary_id for r in sub.results)
             )
     else:
         lines.append("no viable substitution found")
@@ -199,10 +196,7 @@ def cmd_build(args) -> int:
         seed=args.seed,
     )
     state.save(args.out)
-    counts = f"{len(state.hierarchy)} summaries"
-    if state.lattice:
-        counts = f"{len(state.lattice['concepts'])} concepts, " + counts
-    print(f"built {args.out}: {counts}", file=sys.stderr)
+    print(f"built {args.out}: {len(state.hierarchy)} summaries", file=sys.stderr)
     return 0
 
 
@@ -277,10 +271,7 @@ def cmd_inspect(args) -> int:
     state = ProjectState.load(args.state)
     h = state.hierarchy
     if args.id is not None:
-        sid = args.id
-        if sid not in h.summaries and sid.isdigit() and int(sid) in h.summaries:
-            sid = int(sid)  # lattice-built hierarchies use integer ids
-        chosen = [h.summary(sid)]
+        chosen = [h.summary(args.id)]
     else:
         chosen = h.at_level(args.level)
         if not chosen:
@@ -290,12 +281,12 @@ def cmd_inspect(args) -> int:
     if args.format == "json":
         payload = [
             {
-                "summary_id": str(s.id),
+                "summary_id": s.id,
                 "level": s.level,
                 "intent": s.intent_keys(),
                 "extent": dict(sorted(s.extent.items())),
                 "sd": sds[s.id],
-                "children": [str(c) for c in h.children[s.id]],
+                "children": h.children[s.id],
             }
             for s in chosen
         ]
@@ -305,18 +296,12 @@ def cmd_inspect(args) -> int:
             print(f"{s.id} (level {s.level}, sd {sds[s.id]:.4f})")
             print(f"  intent: [{', '.join(s.intent_keys())}]")
             print(f"  extent: {_fmt_extent(s.extent)}")
-            print(f"  children: {', '.join(str(c) for c in h.children[s.id]) or '-'}")
+            print(f"  children: {', '.join(h.children[s.id]) or '-'}")
     return 0
 
 
 def cmd_export(args) -> int:
-    state = ProjectState.load(args.state)
-    artifact = {
-        "schema": lambda: schema_to_dict(state.schema),
-        "context": lambda: state.context.to_dict() if state.context else None,
-        "lattice": lambda: state.lattice,
-        "hierarchy": lambda: state.hierarchy.to_dict(),
-    }[args.what]()
+    artifact = ProjectState.load(args.state).to_dict()[args.what]
     if artifact is None:
         print(f"state holds no {args.what} (built from a hierarchy fixture?)", file=sys.stderr)
         return 1

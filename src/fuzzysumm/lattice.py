@@ -19,8 +19,6 @@ from .errors import ContextError, DataError, UsageError
 
 AttrPair = tuple[str, str]  # (attribute name, label name)
 
-SummaryId = int | str
-
 PAIR_SEP = "::"
 
 
@@ -90,7 +88,7 @@ class ConceptSummary:
     ``extent`` maps each covered tuple to min over the intent of its context
     degrees (1.0 under the empty intent)."""
 
-    id: SummaryId
+    id: str
     extent: dict[str, float] = field(default_factory=dict)
     intent: frozenset[AttrPair] = frozenset()
 
@@ -138,7 +136,7 @@ def _fuzzy_extent(ctx: FuzzyContext, extent_indices, intent_indices) -> dict[str
 
 def enumerate_concepts(ctx: FuzzyContext, threshold: float) -> list[ConceptSummary]:
     """All concepts of the T-binarized context, in (|intent|, lectic intent)
-    order with ids assigned along that order.
+    order with ids "0", "1", ... assigned along that order.
 
     Intents are enumerated with NextClosure, so the cost is one closure per
     concept rather than one per subset.  Both derivations work on one object
@@ -198,7 +196,7 @@ def enumerate_concepts(ctx: FuzzyContext, threshold: float) -> list[ConceptSumma
         extent_indices = _mask_to_indices(extent_of(intent_mask))
         concepts.append(
             ConceptSummary(
-                id=cid,
+                id=str(cid),
                 extent=_fuzzy_extent(ctx, extent_indices, intent_indices),
                 intent=frozenset(ctx.attributes[j] for j in intent_indices),
             )
@@ -267,38 +265,17 @@ def sigma_jaccard(extent_a: dict[str, float], extent_b: dict[str, float]) -> flo
 
 @dataclass(frozen=True)
 class Lattice:
-    """Complete concept set, its covering pairs (child id, parent id) and
-    the threshold it was enumerated at."""
+    """Complete concept set and its covering pairs (child id, parent id)."""
 
     concepts: list[ConceptSummary]
-    covers: list[tuple[int, int]]
-    threshold: float
-
-    def to_dict(self) -> dict:
-        """The state file's ``lattice`` section; the top has the maximal
-        extent, the bottom the maximal intent."""
-        top = max(self.concepts, key=lambda c: (len(c.extent), -len(c.intent))).id
-        bottom = max(self.concepts, key=lambda c: (len(c.intent), -len(c.extent))).id
-        return {
-            "threshold": self.threshold,
-            "top": top,
-            "bottom": bottom,
-            "covers": [list(edge) for edge in self.covers],
-            "concepts": [
-                {
-                    "id": c.id,
-                    "extent": dict(sorted(c.extent.items())),
-                    "intent": c.intent_keys(),
-                }
-                for c in self.concepts
-            ],
-        }
+    covers: list[tuple[str, str]]
 
 
-def build_lattice(concepts: list[ConceptSummary], threshold: float = 0.0) -> Lattice:
-    """Hasse diagram of the given complete concept set."""
+def build_lattice(concepts: list[ConceptSummary]) -> Lattice:
+    """Hasse diagram of the given complete concept set; covers are ordered
+    by the child's position in ``concepts``, then the parent's."""
     if len({c.intent for c in concepts}) != len(concepts):
         raise UsageError("duplicate concept intents")
     edges = cover_edges([c.intent for c in concepts])
-    covers = sorted((concepts[child].id, concepts[parent].id) for child, parent in edges)
-    return Lattice(concepts=list(concepts), covers=covers, threshold=threshold)
+    covers = [(concepts[child].id, concepts[parent].id) for child, parent in edges]
+    return Lattice(concepts=list(concepts), covers=covers)

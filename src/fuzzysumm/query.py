@@ -286,7 +286,7 @@ def satisfaction_degrees(h: SummaryHierarchy) -> Mapping:
 
 @dataclass(frozen=True)
 class RankedResult:
-    summary_id: object
+    summary_id: str
     intent: tuple[str, ...]
     sd: float
     alpha: float
@@ -295,7 +295,7 @@ class RankedResult:
 
     def to_dict(self) -> dict:
         return {
-            "summary_id": str(self.summary_id),
+            "summary_id": self.summary_id,
             "intent": list(self.intent),
             "sd": self.sd,
             "alpha": self.alpha,

@@ -33,7 +33,7 @@ from .summary import ConceptSummary, SummaryHierarchy
 
 @dataclass(frozen=True)
 class FailureNode:
-    summary_id: object
+    summary_id: str
     failed_attributes: frozenset[str]
     intent: tuple[str, ...] = ()
 
@@ -43,7 +43,7 @@ class SubstitutionQuery:
     query: Query
     replaced: dict[str, tuple[str, ...]]
     distance: int
-    source: object  # failure node id whose neighbourhood supplied the labels
+    source: str  # failure node id whose neighbourhood supplied the labels
     results: tuple[RankedResult, ...] = ()
 
 
@@ -61,7 +61,7 @@ class RepairReport:
             "mode": self.mode,
             "failure_nodes": [
                 {
-                    "summary_id": str(node.summary_id),
+                    "summary_id": node.summary_id,
                     "intent": list(node.intent),
                     "failed_attributes": sorted(node.failed_attributes),
                 }
@@ -71,7 +71,7 @@ class RepairReport:
                 {
                     "query": sub.query.render(),
                     "distance": sub.distance,
-                    "source": str(sub.source),
+                    "source": sub.source,
                     "replaced": {a: list(ls) for a, ls in sorted(sub.replaced.items())},
                     "results": [r.to_dict() for r in sub.results],
                 }
@@ -137,7 +137,7 @@ def detect_failures(
                 below.add(sid)
         return [
             FailureNode(sid, failed_attrs(sid), tuple(h.summary(sid).intent_keys()))
-            for sid in sorted(candidates - below, key=str)
+            for sid in sorted(candidates - below)
         ]
 
     # no positive evidence anywhere: blame the deepest undecided dead ends
@@ -150,7 +150,7 @@ def detect_failures(
             above.add(sid)
     frontier = undecided - above
     nodes = []
-    for sid in sorted(frontier, key=str):
+    for sid in sorted(frontier):
         blamed = set(failed_attrs(sid))
         for child in h.children[sid]:
             blamed |= grades[child].grades_with(Grade.VIOLATED)
@@ -248,7 +248,7 @@ def propose_substitutions(
             )
         )
 
-    substitutions.sort(key=lambda s: (-s.distance, -len(s.results), str(s.source)))
+    substitutions.sort(key=lambda s: (-s.distance, -len(s.results), s.source))
     return substitutions, diagnostics
 
 

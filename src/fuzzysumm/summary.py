@@ -24,7 +24,7 @@ SYNTHETIC_ROOT_ID = "root"
 class AlphaSummary:
     """A summary's extent filtered to tuples with degree >= alpha."""
 
-    summary_id: object
+    summary_id: str
     alpha: float
     extent: dict[str, float]
 
@@ -79,10 +79,10 @@ class SummaryHierarchy:
             root = ConceptSummary(SYNTHETIC_ROOT_ID, {tid: 1.0 for tid in tuples}, frozenset())
             summaries = [root] + list(summaries)
 
-        self.summaries: dict[object, ConceptSummary] = {s.id: s for s in summaries}
+        self.summaries: dict[str, ConceptSummary] = {s.id: s for s in summaries}
         self.root = root.id
-        self.children: dict[object, list] = {s.id: [] for s in summaries}
-        self._parents: dict[object, list] = {s.id: [] for s in summaries}
+        self.children: dict[str, list[str]] = {s.id: [] for s in summaries}
+        self._parents: dict[str, list[str]] = {s.id: [] for s in summaries}
         for child, parent in covers:
             self.children[parent].append(child)
             self._parents[child].append(parent)
@@ -92,20 +92,20 @@ class SummaryHierarchy:
                     self.children[root.id].append(sid)
                     self._parents[sid].append(root.id)
         for cid in self.children:
-            self.children[cid].sort(key=str)
-            self._parents[cid].sort(key=str)
-        self.sd_memo: Mapping[object, float] | None = None
+            self.children[cid].sort()
+            self._parents[cid].sort()
+        self.sd_memo: Mapping[str, float] | None = None
 
     def __len__(self) -> int:
         return len(self.summaries)
 
-    def summary(self, sid) -> ConceptSummary:
+    def summary(self, sid: str) -> ConceptSummary:
         try:
             return self.summaries[sid]
         except KeyError:
             raise UsageError(f"no summary with id {sid!r}")
 
-    def parents(self, sid) -> list:
+    def parents(self, sid: str) -> list[str]:
         return self._parents[sid]
 
     def descendants(self, sid) -> set:
@@ -121,25 +121,25 @@ class SummaryHierarchy:
 
     def at_level(self, level: int) -> list[ConceptSummary]:
         return sorted(
-            (s for s in self.summaries.values() if s.level == level), key=lambda s: str(s.id)
+            (s for s in self.summaries.values() if s.level == level), key=lambda s: s.id
         )
 
     def topological(self) -> list[ConceptSummary]:
         """Root-first order; safe for longest-path sweeps because every edge
         strictly grows the intent."""
-        return sorted(self.summaries.values(), key=lambda s: (s.level, str(s.id)))
+        return sorted(self.summaries.values(), key=lambda s: (s.level, s.id))
 
     def to_dict(self) -> dict:
         return {
             "root": self.root,
             "summaries": {
-                str(s.id): {
+                s.id: {
                     "intent": s.intent_keys(),
                     "extent": dict(sorted(s.extent.items())),
                 }
                 for s in self.summaries.values()
             },
-            "children": {str(sid): [str(c) for c in kids] for sid, kids in self.children.items()},
+            "children": {sid: list(kids) for sid, kids in self.children.items()},
         }
 
     @staticmethod
@@ -188,3 +188,21 @@ def build_hierarchy(lat: Lattice) -> SummaryHierarchy:
     """Present a concept lattice as a summary hierarchy: the same nodes and
     covering edges, intent-size levels."""
     return SummaryHierarchy(lat.concepts, lat.covers)
+
+
+def lattice_section(h: SummaryHierarchy) -> dict:
+    """The state file's ``lattice`` section, a view of the hierarchy: each
+    concept's id and intent in root-first order, the covers (child id,
+    parent id), the top (maximal extent) and the bottom (maximal intent).
+    The synthesized root is no concept and is left out; extents are written
+    only in the hierarchy section."""
+    concepts = [s for s in h.topological() if s.id != SYNTHETIC_ROOT_ID]
+    return {
+        "top": max(concepts, key=lambda c: (len(c.extent), -len(c.intent))).id,
+        "bottom": max(concepts, key=lambda c: (len(c.intent), -len(c.extent))).id,
+        "covers": [
+            [c.id, parent] for c in concepts for parent in h.parents(c.id)
+            if parent != SYNTHETIC_ROOT_ID
+        ],
+        "concepts": [{"id": c.id, "intent": c.intent_keys()} for c in concepts],
+    }

@@ -158,7 +158,7 @@ def test_c06_concept_analysis_property_suite():
             violations.append((case, "concept set differs from oracle"))
 
         by_id = {c.id: c for c in concepts}
-        for child, parent in build_lattice(concepts, threshold).covers:
+        for child, parent in build_lattice(concepts).covers:
             if not by_id[child].crisp_extent < by_id[parent].crisp_extent:
                 violations.append((case, "cover edge without extent inclusion"))
             if not by_id[parent].intent < by_id[child].intent:

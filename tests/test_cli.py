@@ -73,8 +73,7 @@ class TestBuild:
             "--out", str(out),
         )
         assert proc.returncode == 0
-        state = ProjectState.load(out)
-        assert len(state.lattice["concepts"]) == 6
+        assert len(json.loads(out.read_text())["lattice"]["concepts"]) == 6
 
     def test_build_rejects_two_sources(self, tmp_path):
         proc = run_cli(
@@ -323,3 +322,56 @@ def test_save_load_query_is_bit_identical(tmp_path):
     before = dumps(run_query(state, Q1, "strict", None, None)[1])
     after = dumps(run_query(reloaded, Q1, "strict", None, None)[1])
     assert before == after
+
+
+BUILDS = {
+    "csv": ("employee_data_schema.json", "--data", "employee.csv"),
+    "context": ("topics_schema.json", "--context", "topics_context.json"),
+    "hierarchy": ("employee_schema.json", "--hierarchy", "employee_hierarchy.json"),
+}
+
+
+def build_cli(tmp_path, kind):
+    schema, flag, source = BUILDS[kind]
+    out = tmp_path / f"{kind}.json"
+    assert main(["build", "--schema", str(FIXTURES / schema), flag, str(FIXTURES / source),
+                 "--threshold", "0.4", "--out", str(out)]) == 0
+    return out
+
+
+class TestStateLayout:
+    @pytest.mark.parametrize("kind", sorted(BUILDS))
+    def test_saving_a_loaded_state_gives_the_built_bytes(self, tmp_path, kind):
+        built = build_cli(tmp_path, kind)
+        again = tmp_path / "again.json"
+        ProjectState.load(built).save(again)
+        assert again.read_bytes() == built.read_bytes()
+
+    def test_csv_state_writes_extents_once_and_string_ids(self, tmp_path):
+        raw = json.loads(build_cli(tmp_path, "csv").read_text())
+        lattice, hierarchy = raw["lattice"], raw["hierarchy"]
+        assert raw["meta"]["threshold"] == 0.4
+        assert "threshold" not in lattice
+        assert all(set(c) == {"id", "intent"} for c in lattice["concepts"])
+        ids = [lattice["top"], lattice["bottom"], hierarchy["root"]]
+        ids += [c["id"] for c in lattice["concepts"]]
+        ids += [sid for edge in lattice["covers"] for sid in edge]
+        ids += list(hierarchy["summaries"]) + [
+            sid for kids in hierarchy["children"].values() for sid in kids]
+        assert all(isinstance(sid, str) for sid in ids)
+        assert {c["id"] for c in lattice["concepts"]} == set(hierarchy["summaries"])
+
+    @pytest.mark.parametrize("kind", ["csv", "context"])
+    def test_export_lattice_after_load_equals_the_built_section(self, tmp_path, kind):
+        built = build_cli(tmp_path, kind)
+        out = tmp_path / "lattice.json"
+        assert main(["export", str(built), "--what", "lattice", "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == json.loads(built.read_text())["lattice"]
+
+    def test_inspect_takes_the_string_id_of_a_csv_build(self, tmp_path, capsys):
+        built = build_cli(tmp_path, "csv")
+        capsys.readouterr()
+        assert main(["inspect", str(built), "--id", "0", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload[0]["summary_id"] == "0"
+        assert payload[0]["level"] == 0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzysumm.cli import ProjectState, build_state, dumps, main
+from fuzzysumm.cli import ProjectState, build_state, main
 from fuzzysumm.errors import ContextError, UsageError
 from fuzzysumm.lattice import (
     ConceptSummary,
@@ -17,6 +17,7 @@ from fuzzysumm.lattice import (
     enumerate_concepts,
     sigma_jaccard,
 )
+from fuzzysumm.summary import build_hierarchy, lattice_section
 
 from conftest import (
     FIXTURES,
@@ -117,7 +118,7 @@ class TestEnumerate:
 
     def test_ids_follow_sorted_order(self, topics):
         concepts = enumerate_concepts(topics, 0.5)
-        assert [c.id for c in concepts] == list(range(6))
+        assert [c.id for c in concepts] == ["0", "1", "2", "3", "4", "5"]
         sizes = [len(c.intent) for c in concepts]
         assert sizes == sorted(sizes)
 
@@ -128,11 +129,11 @@ class TestEnumerate:
 
 class TestLattice:
     def test_topics_hasse_diagram(self, topics):
-        lat = build_lattice(enumerate_concepts(topics, 0.5), 0.5)
+        lat = build_lattice(enumerate_concepts(topics, 0.5))
         assert len(lat.concepts) == 6
         assert len(lat.covers) == 7
         by_id = {c.id: c for c in lat.concepts}
-        section = lat.to_dict()
+        section = lattice_section(build_hierarchy(lat))
         assert by_id[section["top"]].intent == frozenset()
         assert by_id[section["bottom"]].intent == {D, C, F}
         for child, parent in lat.covers:
@@ -141,10 +142,11 @@ class TestLattice:
 
     def test_single_concept_lattice(self):
         ctx = FuzzyContext(("a",), (("X", "p"),), ((1.0,),))
-        lat = build_lattice(enumerate_concepts(ctx, 0.5), 0.5)
+        lat = build_lattice(enumerate_concepts(ctx, 0.5))
         assert lat.covers == []
-        section = lat.to_dict()
-        assert section["top"] == section["bottom"]
+        section = lattice_section(build_hierarchy(lat))
+        assert section["top"] == section["bottom"] == "0"
+        assert section["covers"] == []
 
     def test_nested_rows_give_a_path(self):
         ctx = FuzzyContext(
@@ -152,36 +154,34 @@ class TestLattice:
             (("X", "p"), ("X", "q"), ("X", "r")),
             ((1.0, 1.0, 1.0), (1.0, 1.0, 0.0), (1.0, 0.0, 0.0)),
         )
-        lat = build_lattice(enumerate_concepts(ctx, 0.5), 0.5)
+        lat = build_lattice(enumerate_concepts(ctx, 0.5))
         assert len(lat.concepts) == 3
         assert len(lat.covers) == 2
         children = Counter(parent for _, parent in lat.covers)
-        assert sorted(children[cid] for cid in range(3)) == [0, 1, 1]
+        assert sorted(children[cid] for cid in ("0", "1", "2")) == [0, 1, 1]
 
     def test_duplicate_concepts_rejected(self):
-        c = ConceptSummary(0, {"a": 1.0}, frozenset())
-        d = ConceptSummary(1, {"a": 1.0}, frozenset())
+        c = ConceptSummary("0", {"a": 1.0}, frozenset())
+        d = ConceptSummary("1", {"a": 1.0}, frozenset())
         with pytest.raises(UsageError):
             build_lattice([c, d])
 
     def test_json_round_trip(self, topics, tmp_path):
-        """The lattice section is written at build and carried through
-        load and save unchanged."""
+        """The lattice section is the view of the built hierarchy, and a
+        loaded state saves to the built file's bytes."""
         state = build_state(FIXTURES / "topics_schema.json",
                             context_path=FIXTURES / "topics_context.json", threshold=0.5)
-        lat = build_lattice(enumerate_concepts(topics, 0.5), 0.5)
-        assert state.lattice == lat.to_dict()
         first, second = tmp_path / "a.json", tmp_path / "b.json"
         state.save(first)
-        loaded = ProjectState.load(first)
-        assert loaded.lattice == lat.to_dict()
-        loaded.save(second)
-        sections = [dumps(json.loads(path.read_text())["lattice"]) for path in (first, second)]
-        assert sections[0] == sections[1]
+        lat = build_lattice(enumerate_concepts(topics, 0.5))
+        assert json.loads(first.read_text())["lattice"] == lattice_section(build_hierarchy(lat))
+        ProjectState.load(first).save(second)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_golden_lattice_export(self, tmp_path):
-        """export --what lattice writes the same bytes as before the covers
-        moved onto intent bitsets (tests/golden/topics_lattice.json)."""
+        """export --what lattice writes the bytes of
+        tests/golden/topics_lattice.json: ids, intents, covers, top and
+        bottom, no extents."""
         state, out = tmp_path / "s.json", tmp_path / "lattice.json"
         assert main(["build", "--schema", str(FIXTURES / "topics_schema.json"),
                      "--context", str(FIXTURES / "topics_context.json"),
@@ -216,8 +216,9 @@ class TestCovers:
         ctx = random_context(rng, max_objects=8, max_attrs=6)
         concepts = enumerate_concepts(ctx, threshold)
         extents = [c.crisp_extent for c in concepts]
-        assert build_lattice(concepts, threshold).covers == oracle_covers(
-            extents, lambda a, b: a < b)
+        index = {c.id: i for i, c in enumerate(concepts)}
+        covers = [(index[child], index[parent]) for child, parent in build_lattice(concepts).covers]
+        assert covers == oracle_covers(extents, lambda a, b: a < b)
 
 
 class TestSimilarity:

@@ -414,7 +414,7 @@ class TestSearchOracle:
         rng = np.random.default_rng(1234)
         for _ in range(25):
             ctx, names = random_schema_context(rng)
-            h = build_hierarchy(build_lattice(enumerate_concepts(ctx, 0.5), 0.5))
+            h = build_hierarchy(build_lattice(enumerate_concepts(ctx, 0.5)))
             n_clauses = int(rng.integers(1, min(3, len(names)) + 1))
             chosen = list(rng.choice(names, size=n_clauses, replace=False))
             clauses = []

@@ -26,7 +26,7 @@ def summaries_from(spec):
 
 class TestBuildHierarchy:
     def test_from_topics_lattice(self, topics_context):
-        lat = build_lattice(enumerate_concepts(topics_context, 0.5), 0.5)
+        lat = build_lattice(enumerate_concepts(topics_context, 0.5))
         h = build_hierarchy(lat)
         root = h.summary(h.root)
         assert root.intent == frozenset()
@@ -46,11 +46,11 @@ class TestBuildHierarchy:
     def test_synthetic_root_over_the_lattice_top(self):
         # every object holds X::p, so the lattice top is not the empty intent
         ctx = FuzzyContext(("a", "b"), (("X", "p"), ("X", "q")), ((1.0, 1.0), (1.0, 0.0)))
-        h = build_hierarchy(build_lattice(enumerate_concepts(ctx, 0.5), 0.5))
+        h = build_hierarchy(build_lattice(enumerate_concepts(ctx, 0.5)))
         assert h.root == SYNTHETIC_ROOT_ID
-        assert h.children[SYNTHETIC_ROOT_ID] == [0]
-        assert h.children[0] == [1]
-        assert h.parents(0) == [SYNTHETIC_ROOT_ID]
+        assert h.children[SYNTHETIC_ROOT_ID] == ["0"]
+        assert h.children["0"] == ["1"]
+        assert h.parents("0") == [SYNTHETIC_ROOT_ID]
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(0, 2**31 - 1), st.sampled_from([0.3, 0.5, 0.7]))
@@ -59,7 +59,7 @@ class TestBuildHierarchy:
         bare constructor computes them from the intents.  Both agree, with
         or without a synthesized root."""
         ctx = random_context(np.random.default_rng(seed), max_objects=8, max_attrs=6)
-        lat = build_lattice(enumerate_concepts(ctx, threshold), threshold)
+        lat = build_lattice(enumerate_concepts(ctx, threshold))
         built, bare = build_hierarchy(lat), SummaryHierarchy(lat.concepts)
         assert built.root == bare.root
         assert built.children == bare.children
