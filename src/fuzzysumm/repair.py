@@ -260,8 +260,22 @@ def repair(
     outcome: SearchOutcome,
 ) -> RepairReport:
     """Full repair pass for an empty answer: locate failures, synthesize and
-    vet substitutions, report."""
+    vet substitutions, report.
+
+    When the search found summaries and only the alpha cut emptied them,
+    no search failed: the report carries no failure node and no
+    substitution, and its diagnostic names the cut and the largest alpha
+    that keeps an answer."""
     report = RepairReport(original=query, mode=outcome.mode)
+    if outcome.results:
+        degrees = [d for sid in outcome.results for d in h.summary(sid).extent.values()]
+        kept = (f"their highest degree, {max(degrees):g}, is the largest alpha that keeps "
+                "an answer" if degrees else "they cover no tuple")
+        report.diagnostics.append(
+            f"alpha cut at {prop.alpha:g} emptied every summary the search found "
+            f"({len(outcome.results)}); {kept}"
+        )
+        return report
     report.failure_nodes = detect_failures(outcome, h, prop)
     if not report.failure_nodes:
         report.diagnostics.append("no failure frontier found")

@@ -155,6 +155,18 @@ class TestQuery:
         assert payload["results"] == []
         assert payload["repair"]["substitutions"] == []
 
+    def test_alpha_cut_that_empties_every_answer_exits_three(self, employee_state):
+        # the search finds z13, but no Young degree reaches the 1.0 cut
+        proc = run_cli("query", str(employee_state),
+                       "Select 3 1.0 Income From Employee Where Age FEQ $Young;")
+        assert proc.returncode == 3
+        assert "error:" not in proc.stderr
+        repair = json.loads(proc.stdout)["repair"]
+        assert repair["failure_nodes"] == [] and repair["substitutions"] == []
+        assert repair["diagnostics"] == [
+            "alpha cut at 1 emptied every summary the search found (1); their highest "
+            "degree, 0.7, is the largest alpha that keeps an answer"]
+
     def test_k_flag_overrides(self, food_state):
         sub_q = ("Select 3 0.25 Dairy-product, Lipid From Food-consumption "
                  "Where Age FEQ ($Child, $Young) THOLD 0.25 AND Candy FEQ ($Excessive) "
