@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from .clustering import dataset_to_context, load_dataset_csv
-from .domain import schema_from_dict, schema_to_dict
+from .domain import load_schema, read_json, schema_from_dict, schema_to_dict
 from .errors import DataError, FuzzysummError, ParseError, SemanticError, UsageError
 from .fsql import Query, parse_query
 from .lattice import FuzzyContext, build_lattice, enumerate_concepts
@@ -61,10 +61,7 @@ class ProjectState:
 
     @staticmethod
     def load(path) -> "ProjectState":
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read project state {path}: {exc}")
+        raw = read_json(path)
         if not isinstance(raw, dict):
             raise DataError(f"project state {path} is not a JSON object")
         missing = [key for key in ("schema", "hierarchy") if key not in raw]
@@ -94,7 +91,7 @@ def build_state(
     supplied = [p for p in (data_path, context_path, hierarchy_path) if p]
     if len(supplied) != 1:
         raise UsageError("supply exactly one of a data CSV, a context JSON, or a hierarchy JSON")
-    schema = schema_from_dict(json.loads(Path(schema_path).read_text(encoding="utf-8")))
+    schema = load_schema(schema_path)
 
     context = None
     if data_path:

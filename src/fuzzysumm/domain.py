@@ -11,6 +11,7 @@ Null.  Everything here is immutable after construction.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError, DataError, SchemaError
@@ -188,12 +189,6 @@ class Dataset:
     tuple_ids: tuple[str, ...]
     rows: dict[str, dict[str, FuzzyValue]] = field(repr=False, default_factory=dict)
 
-    def attribute(self, name: str) -> AttributeSpec:
-        for attr in self.schema:
-            if attr.name == name:
-                return attr
-        raise SchemaError(f"unknown attribute {name!r}")
-
     def value(self, tuple_id: str, attr_name: str) -> FuzzyValue:
         return self.rows[tuple_id][attr_name]
 
@@ -236,10 +231,9 @@ def validate_schema(schema) -> list[str]:
             seen_labels.add(lab.name)
             if lab.order_index != pos:
                 problems.append(f"{lwhere}: order_index {lab.order_index} != position {pos}")
-            if lab.trapezoid is not None:
-                a, b, c, d = lab.trapezoid
-                if not (a <= b <= c <= d):
-                    problems.append(f"{lwhere}: malformed trapezoid {lab.trapezoid!r}")
+            shape = lab.trapezoid
+            if shape is not None and (len(shape) != 4 or list(shape) != sorted(shape)):
+                problems.append(f"{lwhere}: malformed trapezoid {shape!r}")
         if attr.labels and attr.cluster_count != len(attr.labels):
             problems.append(
                 f"{where}: cluster_count {attr.cluster_count} != vocabulary size {len(attr.labels)}"
@@ -261,50 +255,87 @@ def validate_schema(schema) -> list[str]:
     return problems
 
 
+def read_json(path):
+    """The JSON value in the file at ``path``; text that is not JSON raises
+    DataError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise DataError(f"{path} is not valid JSON: {exc}")
+
+
 def load_schema(path) -> tuple[AttributeSpec, ...]:
     """Read the schema JSON file: a list of attributes, each with a name,
     ftype, ordered labels (optionally carrying a trapezoid), and an
     optional similarity matrix."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return schema_from_dict(raw)
+    return schema_from_dict(read_json(path))
 
 
 def schema_from_dict(raw: dict) -> tuple[AttributeSpec, ...]:
-    try:
-        entries = raw["attributes"]
-    except (TypeError, KeyError):
+    entries = raw.get("attributes") if isinstance(raw, dict) else None
+    if not isinstance(entries, list):
         raise DataError("schema JSON must be an object with an 'attributes' list")
-    schema = []
-    for entry in entries:
-        labels = []
-        for pos, lab in enumerate(entry.get("labels", [])):
-            if isinstance(lab, str):
-                labels.append(LinguisticLabel(lab, pos))
-            else:
-                shape = lab.get("trapezoid")
-                labels.append(
-                    LinguisticLabel(
-                        lab["name"], pos, tuple(float(v) for v in shape) if shape else None
-                    )
-                )
-        similarity = entry.get("similarity")
-        if similarity is not None:
-            similarity = tuple(tuple(float(v) for v in row) for row in similarity)
-        schema.append(
-            AttributeSpec(
-                name=entry["name"],
-                ftype=int(entry.get("ftype", 1)),
-                labels=tuple(labels),
-                cluster_count=int(entry.get("cluster_count", 0)),
-                similarity=similarity,
-            )
-        )
-    schema = tuple(schema)
+    schema = tuple(_attribute_from_dict(pos, entry) for pos, entry in enumerate(entries))
     problems = validate_schema(schema)
     if problems:
         raise SchemaError("invalid schema: " + "; ".join(problems))
     return schema
+
+
+def _attribute_from_dict(pos: int, entry) -> AttributeSpec:
+    """One entry of the 'attributes' list; a JSON value of the wrong type
+    raises DataError naming the attribute and the field."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+        raise DataError(f"schema attribute {pos}: not an object with a string 'name'")
+    where = f"schema attribute {entry['name']!r}"
+    raw_labels = entry.get("labels", [])
+    if not isinstance(raw_labels, list):
+        raise DataError(f"{where}: 'labels' is not a list")
+    labels = []
+    for lpos, lab in enumerate(raw_labels):
+        lab = {"name": lab} if isinstance(lab, str) else lab
+        if not isinstance(lab, dict) or not isinstance(lab.get("name"), str):
+            raise DataError(f"{where}, label {lpos}: not a name or an object with a string 'name'")
+        shape = lab.get("trapezoid")
+        shape = None if shape is None else float_list(shape, f"{where}, label {lpos}: trapezoid")
+        labels.append(LinguisticLabel(lab["name"], lpos, shape))
+    similarity = entry.get("similarity")
+    return AttributeSpec(
+        name=entry["name"],
+        ftype=_integer(entry.get("ftype", 1), f"{where}: ftype"),
+        labels=tuple(labels),
+        cluster_count=_integer(entry.get("cluster_count", 0), f"{where}: cluster_count"),
+        similarity=None if similarity is None else float_rows(similarity, f"{where}: similarity"),
+    )
+
+
+def _integer(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DataError(f"{where}: {value!r} is not an integer")
+    return value
+
+
+def str_list(values, where: str) -> tuple[str, ...]:
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise DataError(f"{where} is not a list of strings")
+    return tuple(values)
+
+
+def float_list(values, where: str) -> tuple[float, ...]:
+    """A JSON list of finite numbers, as floats."""
+    if not isinstance(values, list) or not all(
+        not isinstance(v, bool) and isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
+        for v in values
+    ):
+        raise DataError(f"{where} is not a list of finite numbers")
+    return tuple(float(v) for v in values)
+
+
+def float_rows(rows, where: str) -> tuple[tuple[float, ...], ...]:
+    if not isinstance(rows, list):
+        raise DataError(f"{where} is not a list of rows")
+    return tuple(float_list(row, f"{where}, row {i}") for i, row in enumerate(rows))
 
 
 def schema_to_dict(schema) -> dict:

@@ -12,9 +12,9 @@ as for extent inclusion).
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
 
+from .domain import float_rows, read_json, str_list
 from .errors import ContextError, DataError, UsageError
 
 AttrPair = tuple[str, str]  # (attribute name, label name)
@@ -66,18 +66,17 @@ class FuzzyContext:
 
     @staticmethod
     def from_dict(raw: dict) -> "FuzzyContext":
-        try:
-            objects = tuple(raw["objects"])
-            attributes = tuple(parse_pair(k) for k in raw["attributes"])
-            degrees = tuple(tuple(float(v) for v in row) for row in raw["degrees"])
-        except (KeyError, TypeError) as exc:
-            raise DataError(f"malformed context JSON: {exc}")
-        return FuzzyContext(objects, attributes, degrees)
+        if not isinstance(raw, dict):
+            raise DataError("context JSON must be an object")
+        return FuzzyContext(
+            str_list(raw.get("objects"), "context objects"),
+            tuple(parse_pair(key) for key in str_list(raw.get("attributes"), "context attributes")),
+            float_rows(raw.get("degrees"), "context degrees"),
+        )
 
     @staticmethod
     def load(path) -> "FuzzyContext":
-        with open(path, "r", encoding="utf-8") as fh:
-            return FuzzyContext.from_dict(json.load(fh))
+        return FuzzyContext.from_dict(read_json(path))
 
 
 @dataclass(frozen=True)
@@ -95,10 +94,6 @@ class ConceptSummary:
     @property
     def level(self) -> int:
         return len(self.intent)
-
-    @property
-    def crisp_extent(self) -> frozenset[str]:
-        return frozenset(self.extent)
 
     @functools.cached_property
     def _labels_by_attribute(self) -> dict[str, frozenset[str]]:

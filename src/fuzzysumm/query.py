@@ -66,12 +66,6 @@ class ConjunctiveProposition:
     def alpha(self) -> float:
         return max((c.alpha for c in self.clauses), default=0.0)
 
-    def clause_for(self, attribute: str) -> Clause | None:
-        for clause in self.clauses:
-            if clause.attribute == attribute:
-                return clause
-        return None
-
 
 @dataclass(frozen=True)
 class Correspondence:

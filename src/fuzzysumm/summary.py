@@ -14,6 +14,7 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 
+from .domain import read_json, str_list
 from .errors import DataError, UsageError
 from .lattice import ConceptSummary, Lattice, cover_edges, parse_pair
 
@@ -108,17 +109,6 @@ class SummaryHierarchy:
     def parents(self, sid: str) -> list[str]:
         return self._parents[sid]
 
-    def descendants(self, sid) -> set:
-        out = set()
-        stack = list(self.children[self.summary(sid).id])
-        while stack:
-            node = stack.pop()
-            if node in out:
-                continue
-            out.add(node)
-            stack.extend(self.children[node])
-        return out
-
     def at_level(self, level: int) -> list[ConceptSummary]:
         return sorted(
             (s for s in self.summaries.values() if s.level == level), key=lambda s: s.id
@@ -144,10 +134,7 @@ class SummaryHierarchy:
 
     @staticmethod
     def from_dict(raw: dict) -> "SummaryHierarchy":
-        try:
-            entries = raw["summaries"]
-        except (KeyError, TypeError):
-            entries = None
+        entries = raw.get("summaries") if isinstance(raw, dict) else None
         if not isinstance(entries, dict):
             raise DataError("hierarchy JSON must carry a 'summaries' object")
         return SummaryHierarchy([_summary_from_dict(sid, entry) for sid, entry in entries.items()])
@@ -159,16 +146,13 @@ class SummaryHierarchy:
 
     @staticmethod
     def load(path) -> "SummaryHierarchy":
-        with open(path, "r", encoding="utf-8") as fh:
-            return SummaryHierarchy.from_dict(json.load(fh))
+        return SummaryHierarchy.from_dict(read_json(path))
 
 
 def _summary_from_dict(sid: str, entry) -> ConceptSummary:
     if not isinstance(entry, dict):
         raise DataError(f"summary {sid!r} is not a JSON object")
-    intent = entry.get("intent", [])
-    if not isinstance(intent, list) or not all(isinstance(key, str) for key in intent):
-        raise DataError(f"summary {sid!r}: intent is not a list of 'Attr::Label' strings")
+    intent = str_list(entry.get("intent", []), f"summary {sid!r}: intent")
     extent = entry.get("extent", {})
     if not isinstance(extent, dict):
         raise DataError(f"summary {sid!r}: extent is not a JSON object")

@@ -93,6 +93,20 @@ def oracle_covers(keys, below):
     return sorted(out)
 
 
+def descendants(h: SummaryHierarchy, sid) -> set:
+    """Every summary below sid, by a plain walk over the children lists:
+    the pairwise reference for the package's one-pass frontier and
+    maximality code."""
+    out = set()
+    stack = list(h.children[h.summary(sid).id])
+    while stack:
+        node = stack.pop()
+        if node not in out:
+            out.add(node)
+            stack.extend(h.children[node])
+    return out
+
+
 def random_context(rng: np.random.Generator, max_objects=10, max_attrs=8) -> FuzzyContext:
     n = int(rng.integers(1, max_objects + 1))
     m = int(rng.integers(1, max_attrs + 1))

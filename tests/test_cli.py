@@ -3,8 +3,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzysumm.cli import ProjectState, build_state, main, run_query
+from fuzzysumm.errors import FuzzysummError
 
 from conftest import FIXTURES
 
@@ -300,6 +302,31 @@ def test_malformed_hierarchy_section_exits_one(tmp_path, capsys, summaries, reas
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("section, value, reason", [
+    ("schema", {"attributes": 5}, "'attributes' list"),
+    ("schema", {"attributes": [5]}, "schema attribute 0: not an object"),
+    ("schema", {"attributes": [{"name": "Age", "labels": [{"trapezoid": [0, 1, 2, 3]}]}]},
+     "schema attribute 'Age', label 0: not a name"),
+    ("schema", {"attributes": [{"name": "Age", "ftype": "x"}]},
+     "schema attribute 'Age': ftype: 'x' is not an integer"),
+    ("context", {"objects": ["D1"], "attributes": ["Topic::D"], "degrees": [["x"]]},
+     "context degrees, row 0 is not a list of finite numbers"),
+    ("context", {"objects": ["D1"], "attributes": [5], "degrees": [[0.5]]},
+     "context attributes is not a list of strings"),
+])
+def test_malformed_schema_or_context_section_exits_one(tmp_path, capsys, section, value, reason):
+    raw = json.loads(build_cli(tmp_path, "context").read_text())
+    raw[section] = value
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert main(["query", str(path), "Select * From T Where Topic FEQ $D;"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert reason in captured.err
+
+
 @pytest.mark.parametrize("schema, source, queries", [
     ("employee_schema.json", {"hierarchy_path": "employee_hierarchy.json"}, (Q1, Q4_EMPLOYEE)),
     ("employee_schema.json", {"data_path": "employee_numeric.csv"}, (Q1, Q4_EMPLOYEE)),
@@ -387,3 +414,47 @@ class TestStateLayout:
         payload = json.loads(capsys.readouterr().out)
         assert payload[0]["summary_id"] == "0"
         assert payload[0]["level"] == 0
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=4),
+    max_leaves=10,
+)
+
+
+def replace_somewhere(data, value):
+    """value with one node, itself or one below it, replaced by arbitrary JSON."""
+    if isinstance(value, (dict, list)) and value and data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(list(value) if isinstance(value, dict)
+                                        else range(len(value))))
+        copy = dict(value) if isinstance(value, dict) else list(value)
+        copy[key] = replace_somewhere(data, value[key])
+        return copy
+    return data.draw(JSON)
+
+
+@pytest.fixture(scope="module")
+def context_state(tmp_path_factory):
+    out = tmp_path_factory.mktemp("state") / "topics.json"
+    build_state(FIXTURES / "topics_schema.json", context_path=FIXTURES / "topics_context.json",
+                threshold=0.5).save(out)
+    return out
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_load_with_one_section_replaced_loads_or_raises_package_error(context_state, data):
+    """Every section of a valid state (meta, schema, context, lattice,
+    hierarchy), or any node inside one, replaced by arbitrary JSON: the
+    state loads, or ProjectState.load raises a FuzzysummError."""
+    raw = json.loads(context_state.read_text())
+    section = data.draw(st.sampled_from(sorted(raw)))
+    raw[section] = replace_somewhere(data, raw[section])
+    path = context_state.with_name("mutated.json")
+    path.write_text(json.dumps(raw))
+    try:
+        ProjectState.load(path)
+    except FuzzysummError:
+        pass

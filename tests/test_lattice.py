@@ -41,7 +41,7 @@ def topics(topics_context):
 def derived_intent(concepts, objs) -> set:
     """objs' read off the concept set: the intent of the smallest concept
     whose extent holds objs."""
-    holders = [c for c in concepts if set(objs) <= c.crisp_extent]
+    holders = [c for c in concepts if set(objs) <= frozenset(c.extent)]
     return set(max(holders, key=lambda c: len(c.intent)).intent)
 
 
@@ -49,7 +49,7 @@ def derived_extent(concepts, attrs) -> set:
     """attrs' read off the concept set: the extent of the largest concept
     whose intent holds attrs."""
     holders = [c for c in concepts if set(attrs) <= c.intent]
-    return set(min(holders, key=lambda c: len(c.intent)).crisp_extent)
+    return set(min(holders, key=lambda c: len(c.intent)).extent)
 
 
 class TestDerivations:
@@ -97,13 +97,13 @@ class TestEnumerate:
 
     def test_matches_bruteforce_oracle(self, topics):
         concepts = enumerate_concepts(topics, 0.5)
-        ours = {(c.crisp_extent, c.intent) for c in concepts}
+        ours = {(frozenset(c.extent), c.intent) for c in concepts}
         assert ours == oracle_concepts(topics, 0.5)
 
     def test_all_zero_context(self):
         ctx = FuzzyContext(("a", "b"), (("X", "p"), ("X", "q")), ((0.0, 0.0), (0.0, 0.0)))
         concepts = enumerate_concepts(ctx, 0.5)
-        shapes = {(c.crisp_extent, c.intent) for c in concepts}
+        shapes = {(frozenset(c.extent), c.intent) for c in concepts}
         assert shapes == {
             (frozenset({"a", "b"}), frozenset()),
             (frozenset(), frozenset({("X", "p"), ("X", "q")})),
@@ -113,7 +113,7 @@ class TestEnumerate:
         ctx = FuzzyContext(("a", "b"), (("X", "p"), ("X", "q")), ((1.0, 1.0), (1.0, 1.0)))
         concepts = enumerate_concepts(ctx, 0.5)
         assert len(concepts) == 1
-        assert concepts[0].crisp_extent == {"a", "b"}
+        assert frozenset(concepts[0].extent) == {"a", "b"}
         assert concepts[0].intent == {("X", "p"), ("X", "q")}
 
     def test_ids_follow_sorted_order(self, topics):
@@ -137,7 +137,7 @@ class TestLattice:
         assert by_id[section["top"]].intent == frozenset()
         assert by_id[section["bottom"]].intent == {D, C, F}
         for child, parent in lat.covers:
-            assert by_id[child].crisp_extent < by_id[parent].crisp_extent
+            assert frozenset(by_id[child].extent) < frozenset(by_id[parent].extent)
             assert by_id[parent].intent < by_id[child].intent
 
     def test_single_concept_lattice(self):
@@ -215,7 +215,7 @@ class TestCovers:
         rng = np.random.default_rng(seed)
         ctx = random_context(rng, max_objects=8, max_attrs=6)
         concepts = enumerate_concepts(ctx, threshold)
-        extents = [c.crisp_extent for c in concepts]
+        extents = [frozenset(c.extent) for c in concepts]
         index = {c.id: i for i, c in enumerate(concepts)}
         covers = [(index[child], index[parent]) for child, parent in build_lattice(concepts).covers]
         assert covers == oracle_covers(extents, lambda a, b: a < b)
@@ -270,7 +270,7 @@ class TestClosureProperties:
         bigger = set(ctx.objects)
         assert derived_intent(concepts, bigger) <= intent  # antitone
 
-        ours = {(c.crisp_extent, c.intent) for c in concepts}
+        ours = {(frozenset(c.extent), c.intent) for c in concepts}
         assert ours == oracle_concepts(ctx, threshold)
 
     @settings(deadline=None, max_examples=30)
@@ -282,6 +282,6 @@ class TestClosureProperties:
         for concept in enumerate_concepts(ctx, 0.7):
             holders = [
                 c for c in low if c.intent >= concept.intent and
-                c.crisp_extent >= concept.crisp_extent
+                frozenset(c.extent) >= frozenset(concept.extent)
             ]
             assert holders, f"no low-threshold concept covers {concept}"

@@ -19,7 +19,7 @@ from fuzzysumm.query import (
 from fuzzysumm.repair import detect_failures, distance, propose_substitutions, repair
 from fuzzysumm.summary import ConceptSummary, SummaryHierarchy
 
-from conftest import random_hierarchy, random_proposition
+from conftest import descendants, random_hierarchy, random_proposition
 
 
 def summary(sid, intent_keys, extent=None):
@@ -151,10 +151,10 @@ def reference_frontier(h, prop):
     if candidates:
         return candidates, {
             sid for sid in candidates
-            if not any(sid in h.descendants(other) for other in candidates)
+            if not any(sid in descendants(h, other) for other in candidates)
         }
     undecided = {sid for sid, c in grades.items() if c.verdict is Verdict.INDECISION}
-    return candidates, {sid for sid in undecided if not h.descendants(sid) & undecided}
+    return candidates, {sid for sid in undecided if not descendants(h, sid) & undecided}
 
 
 def emptied_search(h, prop, mode):

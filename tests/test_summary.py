@@ -12,7 +12,7 @@ from fuzzysumm.summary import (
     build_hierarchy,
 )
 
-from conftest import random_context
+from conftest import descendants, random_context
 
 
 def summaries_from(spec):
@@ -134,10 +134,10 @@ class TestHierarchyShape:
         def walk(sid, path_extent_sizes, path_intent_sizes):
             s = h.summary(sid)
             if path_extent_sizes:
-                assert len(s.crisp_extent) <= path_extent_sizes[-1]
+                assert len(s.extent) <= path_extent_sizes[-1]
                 assert len(s.intent) > path_intent_sizes[-1]
             for kid in h.children[sid]:
-                walk(kid, path_extent_sizes + [len(s.crisp_extent)],
+                walk(kid, path_extent_sizes + [len(s.extent)],
                      path_intent_sizes + [len(s.intent)])
 
         walk(h.root, [], [])
@@ -148,5 +148,5 @@ class TestHierarchyShape:
             assert again.to_dict() == h.to_dict()
 
     def test_descendants(self, employee_hierarchy):
-        below = employee_hierarchy.descendants("z24")
+        below = descendants(employee_hierarchy, "z24")
         assert below == {"z32", "z33", "z34", "z41", "z42", "z5"}
