@@ -57,7 +57,9 @@ class ProjectState:
         }
 
     def save(self, path) -> None:
-        Path(path).write_text(dumps(self.to_dict()), encoding="utf-8")
+        """Compact JSON: without ``indent`` the C encoder writes it."""
+        text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        Path(path).write_text(text + "\n", encoding="utf-8")
 
     @staticmethod
     def load(path) -> "ProjectState":

@@ -21,10 +21,6 @@ class ClusteringError(FuzzysummError):
     """Clustering cannot run on the given input (too few values, ...)."""
 
 
-class ContextError(FuzzysummError):
-    """Unknown object/attribute passed to a context derivation."""
-
-
 class ParseError(FuzzysummError):
     """Query text rejected by the parser; carries line/column."""
 

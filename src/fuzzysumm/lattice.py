@@ -15,7 +15,7 @@ import functools
 from dataclasses import dataclass, field
 
 from .domain import float_rows, read_json, str_list
-from .errors import ContextError, DataError, UsageError
+from .errors import DataError, UsageError
 
 AttrPair = tuple[str, str]  # (attribute name, label name)
 
@@ -42,6 +42,13 @@ class FuzzyContext:
     degrees: tuple[tuple[float, ...], ...]  # row per object
 
     def __post_init__(self):
+        keys = [pair_key(p) for p in self.attributes]
+        for what, names in (("object", self.objects), ("attribute", keys)):
+            seen = set()
+            for name in names:
+                if name in seen:
+                    raise DataError(f"context: duplicate {what} {name!r}")
+                seen.add(name)
         if len(self.degrees) != len(self.objects):
             raise DataError("context: one degree row per object required")
         for g, row in zip(self.objects, self.degrees):
@@ -50,12 +57,6 @@ class FuzzyContext:
             for value in row:
                 if not (0.0 <= value <= 1.0):
                     raise DataError(f"context: degree {value!r} for {g!r} outside [0,1]")
-
-    def degree(self, obj: str, pair: AttrPair) -> float:
-        try:
-            return self.degrees[self.objects.index(obj)][self.attributes.index(pair)]
-        except ValueError:
-            raise ContextError(f"unknown object {obj!r} or attribute {pair!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -205,57 +206,37 @@ def cover_edges(intents: list[frozenset]) -> list[tuple[int, int]]:
     subset of the child's, with no intent in between.  The intents must be
     distinct.
 
-    ``subsets[c]`` is a bitset over the nodes: all nodes but c, minus the
-    holders of every attribute missing from c's intent.  c's parents are the
-    members of ``subsets[c]`` outside the union of the members' own
-    subsets.  A member already inside that union adds nothing to it and is
-    skipped; taking the highest index first skips most members when the
-    intents come sorted by size, as ``enumerate_concepts`` returns them.
+    The work runs on the intents sorted by size.  There, ``subsets[c]`` is
+    a bitset over the positions: all but c, minus the holders of every
+    attribute missing from c's intent.  c's parents are the members of
+    ``subsets[c]`` outside the union of the members' own subsets.  A member
+    already inside that union adds nothing to it and is skipped; taking
+    the highest position first skips most members, whatever the input
+    order.
     """
+    order = sorted(range(len(intents)), key=lambda i: len(intents[i]))
     holders: dict = {}
-    for i, intent in enumerate(intents):
-        for pair in intent:
-            holders[pair] = holders.get(pair, 0) | (1 << i)
+    for pos, i in enumerate(order):
+        for pair in intents[i]:
+            holders[pair] = holders.get(pair, 0) | (1 << pos)
     everyone = (1 << len(intents)) - 1
     subsets = []
-    for i, intent in enumerate(intents):
-        mask = everyone ^ (1 << i)
+    for pos, i in enumerate(order):
+        mask = everyone ^ (1 << pos)
         for pair, held in holders.items():
-            if pair not in intent:
+            if pair not in intents[i]:
                 mask &= ~held
         subsets.append(mask)
-    edges = []
-    for child, mask in enumerate(subsets):
+    parents: list = [None] * len(intents)
+    for pos, mask in enumerate(subsets):
         implied, rest = 0, mask
         while rest:
             top = rest.bit_length() - 1
             implied |= subsets[top]
             rest ^= 1 << top
             rest &= ~implied
-        edges.extend((child, parent) for parent in _mask_to_indices(mask & ~implied))
-    return edges
-
-
-def sigma_jaccard(extent_a: dict[str, float], extent_b: dict[str, float]) -> float:
-    """Fuzzy-set Jaccard with sigma-count cardinality: sum of pointwise mins
-    over sum of pointwise maxes; 0 when both extents are empty.
-
-    The sums run over ``extent_a``'s keys in its order, then over the keys
-    only ``extent_b`` has, so the result does not depend on the string hash
-    seed."""
-    inter = 0.0
-    union = 0.0
-    for key, da in extent_a.items():
-        db = extent_b.get(key, 0.0)
-        inter += min(da, db)
-        union += max(da, db)
-    for key, db in extent_b.items():
-        if key not in extent_a:
-            inter += min(0.0, db)
-            union += max(0.0, db)
-    if union == 0.0:
-        return 0.0
-    return inter / union
+        parents[order[pos]] = sorted(order[p] for p in _mask_to_indices(mask & ~implied))
+    return [(child, parent) for child, found in enumerate(parents) for parent in found]
 
 
 @dataclass(frozen=True)

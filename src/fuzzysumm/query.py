@@ -18,6 +18,7 @@ Three match modes:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
@@ -26,8 +27,7 @@ from types import MappingProxyType
 from .domain import AttributeSpec
 from .errors import SemanticError, UsageError
 from .fsql import Condition, Query
-from .lattice import sigma_jaccard
-from .summary import AlphaSummary, ConceptSummary, SummaryHierarchy, alpha_cut
+from .summary import ConceptSummary, SummaryHierarchy, alpha_cut
 
 MODES = ("strict", "tolerant", "exhaustive")
 
@@ -252,15 +252,40 @@ def _keep_maximal(h: SummaryHierarchy, ids: list) -> list:
     return [sid for sid in ids if sid not in below]
 
 
+def edge_overlap(child: dict[str, float], parent: dict[str, float], parent_sigma: float) -> float:
+    """Sigma-count Jaccard of two extents: the sum of pointwise mins over
+    the sum of pointwise maxes across both extents' tuples, 0 when both are
+    empty, in one pass over the child's extent.
+
+    With degrees >= 0 and ``parent_sigma`` the sum of the parent's degrees,
+    sum(min) = sum over the child of min(a, b), and
+    sum(max) = parent_sigma + sum over the child of max(0, a - b)."""
+    inter = excess = 0.0
+    get = parent.get
+    for key, a in child.items():
+        b = get(key, 0.0)
+        if a <= b:
+            inter += a
+        else:
+            inter += b
+            excess += a - b
+    union = parent_sigma + excess
+    if union == 0.0:
+        return 0.0
+    return inter / union
+
+
 def satisfaction_degrees(h: SummaryHierarchy) -> Mapping:
     """Best root-to-summary path sum of per-edge extent overlaps, for every
     summary at once (longest path over the level-ordered DAG).
 
-    The sweep runs once per hierarchy object, on first use; later calls
-    return the same read-only mapping (hierarchies never change after
-    construction)."""
+    Each edge costs one pass over the child's extent (``edge_overlap``),
+    with every summary's sigma-count taken once per sweep.  The sweep runs
+    once per hierarchy object, on first use; later calls return the same
+    read-only mapping (hierarchies never change after construction)."""
     if h.sd_memo is not None:
         return h.sd_memo
+    sigma = {sid: math.fsum(s.extent.values()) for sid, s in h.summaries.items()}
     sd = {h.root: 0.0}
     for summary in h.topological():
         if summary.id == h.root:
@@ -269,7 +294,7 @@ def satisfaction_degrees(h: SummaryHierarchy) -> Mapping:
         for pid in h.parents(summary.id):
             if pid not in sd:
                 continue
-            total = sd[pid] + sigma_jaccard(summary.extent, h.summary(pid).extent)
+            total = sd[pid] + edge_overlap(summary.extent, h.summaries[pid].extent, sigma[pid])
             if best is None or total > best:
                 best = total
         if best is not None:
@@ -313,8 +338,8 @@ def top_k(
     ranked = []
     for sid in outcome.results:
         summary = h.summary(sid)
-        cut: AlphaSummary = alpha_cut(summary, alpha)
-        if not cut.extent:
+        cut = alpha_cut(summary, alpha)
+        if not cut:
             continue
         ranked.append(
             RankedResult(
@@ -322,7 +347,7 @@ def top_k(
                 intent=tuple(summary.intent_keys()),
                 sd=sds[sid],
                 alpha=alpha,
-                extent=cut.extent,
+                extent=cut,
                 match_mode=outcome.mode,
             )
         )

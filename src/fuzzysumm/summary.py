@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 from .domain import read_json, str_list
 from .errors import DataError, UsageError
@@ -21,23 +20,11 @@ from .lattice import ConceptSummary, Lattice, cover_edges, parse_pair
 SYNTHETIC_ROOT_ID = "root"
 
 
-@dataclass(frozen=True)
-class AlphaSummary:
-    """A summary's extent filtered to tuples with degree >= alpha."""
-
-    summary_id: str
-    alpha: float
-    extent: dict[str, float]
-
-
-def alpha_cut(summary: ConceptSummary, alpha: float) -> AlphaSummary:
+def alpha_cut(summary: ConceptSummary, alpha: float) -> dict[str, float]:
+    """The summary's extent filtered to tuples with degree >= alpha."""
     if not (0.0 <= alpha <= 1.0):
         raise UsageError(f"alpha {alpha!r} outside [0,1]")
-    return AlphaSummary(
-        summary_id=summary.id,
-        alpha=alpha,
-        extent={tid: deg for tid, deg in summary.extent.items() if deg >= alpha},
-    )
+    return {tid: deg for tid, deg in summary.extent.items() if deg >= alpha}
 
 
 class SummaryHierarchy:

@@ -107,6 +107,39 @@ def descendants(h: SummaryHierarchy, sid) -> set:
     return out
 
 
+def sigma_jaccard(extent_a: dict, extent_b: dict) -> float:
+    """Fuzzy-set Jaccard with sigma-count cardinality, by the pointwise
+    union: sum of mins over sum of maxes across every key of either extent;
+    0 when both are empty.  The reference for ``query.edge_overlap``."""
+    inter = 0.0
+    union = 0.0
+    for key in list(extent_a) + [k for k in extent_b if k not in extent_a]:
+        da, db = extent_a.get(key, 0.0), extent_b.get(key, 0.0)
+        inter += min(da, db)
+        union += max(da, db)
+    if union == 0.0:
+        return 0.0
+    return inter / union
+
+
+def root_paths(h: SummaryHierarchy, sid) -> list:
+    """Every path from the root down to sid, as id lists, by walking the
+    parents lists upward."""
+    if sid == h.root:
+        return [[sid]]
+    return [path + [sid] for pid in h.parents(sid) for path in root_paths(h, pid)]
+
+
+def oracle_sd(h: SummaryHierarchy, sid) -> float:
+    """Satisfaction degree by its definition: the largest sum of
+    ``sigma_jaccard`` edge weights over the explicitly enumerated root
+    paths."""
+    return max(
+        sum(sigma_jaccard(h.summary(c).extent, h.summary(p).extent) for p, c in zip(path, path[1:]))
+        for path in root_paths(h, sid)
+    )
+
+
 def random_context(rng: np.random.Generator, max_objects=10, max_attrs=8) -> FuzzyContext:
     n = int(rng.integers(1, max_objects + 1))
     m = int(rng.integers(1, max_attrs + 1))

@@ -225,7 +225,7 @@ def test_c09_alpha_cut_and_default_threshold(employee_schema, employee_hierarchy
         for s in h.summaries.values():
             previous = None
             for alpha in grid:
-                cut = set(alpha_cut(s, alpha).extent)
+                cut = set(alpha_cut(s, alpha))
                 if previous is not None:
                     assert cut <= previous
                 previous = cut

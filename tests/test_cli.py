@@ -327,6 +327,33 @@ def test_malformed_schema_or_context_section_exits_one(tmp_path, capsys, section
     assert reason in captured.err
 
 
+@pytest.mark.parametrize("field, value, named", [
+    ("objects", ["D1", "D1", "D3"], "duplicate object 'D1'"),
+    ("attributes", ["Topic::D", "Topic::D", "Topic::F"], "duplicate attribute 'Topic::D'"),
+])
+def test_context_with_duplicate_rows_or_columns_exits_one(tmp_path, capsys, field, value, named):
+    """Both entry points of a context: build --context, and a query on a
+    state whose context section holds the duplicate."""
+    raw = json.loads((FIXTURES / "topics_context.json").read_text())
+    assert len(raw[field]) == len(value)
+    raw[field] = value
+    context = tmp_path / "ctx.json"
+    context.write_text(json.dumps(raw))
+    state = json.loads(build_cli(tmp_path, "context").read_text())
+    state["context"] = raw
+    state_path = tmp_path / "s.json"
+    state_path.write_text(json.dumps(state))
+    capsys.readouterr()
+    for argv in (["build", "--schema", str(FIXTURES / "topics_schema.json"),
+                  "--context", str(context), "--out", str(tmp_path / "out.json")],
+                 ["query", str(state_path), "Select * From T Where Topic FEQ $D;"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: context: {named}\n"
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("schema, source, queries", [
     ("employee_schema.json", {"hierarchy_path": "employee_hierarchy.json"}, (Q1, Q4_EMPLOYEE)),
     ("employee_schema.json", {"data_path": "employee_numeric.csv"}, (Q1, Q4_EMPLOYEE)),
@@ -384,6 +411,18 @@ class TestStateLayout:
         built = build_cli(tmp_path, kind)
         again = tmp_path / "again.json"
         ProjectState.load(built).save(again)
+        assert again.read_bytes() == built.read_bytes()
+
+    @pytest.mark.parametrize("kind", sorted(BUILDS))
+    def test_state_is_compact_json_and_indented_states_still_load(self, tmp_path, kind):
+        built = build_cli(tmp_path, kind)
+        text = built.read_text()
+        raw = json.loads(text)
+        assert text == json.dumps(raw, sort_keys=True, separators=(",", ":")) + "\n"
+        indented = tmp_path / "indented.json"
+        indented.write_text(json.dumps(raw, indent=2, sort_keys=True) + "\n")
+        again = tmp_path / "again.json"
+        ProjectState.load(indented).save(again)
         assert again.read_bytes() == built.read_bytes()
 
     def test_csv_state_writes_extents_once_and_string_ids(self, tmp_path):

@@ -181,8 +181,9 @@ class TestContextAssembly:
         ctx = dataset_to_context(ds, seed=0)
         assert len(ctx.attributes) == 9
         # identity matching: t1 is Adult, so (Age, Adult) is 1 and (Age, Young) is 0
-        assert ctx.degree("t1", ("Age", "Adult")) == 1.0
-        assert ctx.degree("t1", ("Age", "Young")) == 0.0
+        row = ctx.degrees[ctx.objects.index("t1")]
+        assert row[ctx.attributes.index(("Age", "Adult"))] == 1.0
+        assert row[ctx.attributes.index(("Age", "Young"))] == 0.0
 
     def test_missing_value_rows(self):
         age = plain_attr()
@@ -200,7 +201,7 @@ class TestContextAssembly:
         assert matrix.rows["t5"] == (0.0, 0.0, 0.0)
         assert matrix.rows["t6"] == (0.0, 0.0, 0.0)
         ctx = build_context(ds, [model], [matrix])
-        assert [ctx.degree("t5", p) for p in ctx.attributes] == [0.0, 0.0, 0.0]
+        assert list(ctx.degrees[ctx.objects.index("t5")]) == [0.0, 0.0, 0.0]
 
     def test_matrix_must_cover_all_tuples(self):
         ds, age = tiny_dataset()

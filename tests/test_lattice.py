@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzysumm.cli import ProjectState, build_state, main
-from fuzzysumm.errors import ContextError, UsageError
+from fuzzysumm.errors import DataError, UsageError
 from fuzzysumm.lattice import (
     ConceptSummary,
     FuzzyContext,
     build_lattice,
     cover_edges,
     enumerate_concepts,
-    sigma_jaccard,
 )
 from fuzzysumm.summary import build_hierarchy, lattice_section
 
@@ -26,6 +25,7 @@ from conftest import (
     oracle_extent,
     oracle_intent,
     random_context,
+    sigma_jaccard,
 )
 
 D, C, F = ("Topic", "D"), ("Topic", "C"), ("Topic", "F")
@@ -75,12 +75,8 @@ class TestDerivations:
     def test_empty_attribute_set_yields_all_objects(self, concepts):
         assert derived_extent(concepts, set()) == {"D1", "D2", "D3"}
 
-    def test_unknown_names_rejected(self, topics):
-        assert topics.degree("D1", D) == 0.8
-        with pytest.raises(ContextError):
-            topics.degree("nope", D)
-        with pytest.raises(ContextError):
-            topics.degree("D1", ("Topic", "nope"))
+    def test_degree_by_row_and_column(self, topics):
+        assert topics.degrees[topics.objects.index("D1")][topics.attributes.index(D)] == 0.8
 
 
 class TestEnumerate:
@@ -166,6 +162,14 @@ class TestLattice:
         with pytest.raises(UsageError):
             build_lattice([c, d])
 
+    @pytest.mark.parametrize("objects, attributes, named", [
+        (("a", "a"), (D, C), "duplicate object 'a'"),
+        (("a", "b"), (D, D), "duplicate attribute 'Topic::D'"),
+    ])
+    def test_duplicate_rows_or_columns_rejected(self, objects, attributes, named):
+        with pytest.raises(DataError, match=named):
+            FuzzyContext(objects, attributes, ((1.0, 0.5), (0.5, 1.0)))
+
     def test_json_round_trip(self, topics, tmp_path):
         """The lattice section is the view of the built hierarchy, and a
         loaded state saves to the built file's bytes."""
@@ -207,6 +211,21 @@ class TestCovers:
             intents = intents + [frozenset()]
         elif not with_empty and frozenset() in intents:
             intents.remove(frozenset())
+        assert cover_edges(intents) == oracle_covers(intents, lambda a, b: b < a)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([0.3, 0.5, 0.7]), st.booleans())
+    def test_cover_edges_on_shuffled_lattice_intents(self, seed, threshold, string_order):
+        """Lattice intents shuffled, or in the string order of their ids
+        ("0", "1", "10", ...) as state files list them: the edges equal the
+        pairwise oracle's on the reordered list."""
+        rng = np.random.default_rng(seed)
+        ctx = random_context(rng, max_objects=8, max_attrs=6)
+        concepts = enumerate_concepts(ctx, threshold)
+        if string_order:
+            intents = [c.intent for c in sorted(concepts, key=lambda c: c.id)]
+        else:
+            intents = [concepts[i].intent for i in rng.permutation(len(concepts))]
         assert cover_edges(intents) == oracle_covers(intents, lambda a, b: b < a)
 
     @settings(deadline=None, max_examples=60)

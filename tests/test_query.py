@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fuzzysumm
 from fuzzysumm import query as query_module
@@ -18,6 +19,7 @@ from fuzzysumm.query import (
     Verdict,
     _keep_maximal,
     default_alpha,
+    edge_overlap,
     evaluate,
     grade,
     overlaps_everywhere,
@@ -29,7 +31,15 @@ from fuzzysumm.query import (
 from fuzzysumm.repair import repair
 from fuzzysumm.summary import ConceptSummary, SummaryHierarchy, build_hierarchy
 
-from conftest import FIXTURES, descendants, random_hierarchy, random_schema_context
+from conftest import (
+    FIXTURES,
+    descendants,
+    oracle_sd,
+    random_context,
+    random_hierarchy,
+    random_schema_context,
+    sigma_jaccard,
+)
 
 
 def ordered_attr(name="Age", labels=("Young", "Adult", "Old"), ftype=1):
@@ -235,6 +245,40 @@ class TestSearch:
             search(employee_hierarchy, prop, mode="eager")
 
 
+TUPLES = [f"t{i}" for i in range(8)]
+DEGREES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def extent_pairs(draw):
+    """(child, parent) extents over up to 8 tuples.  The child holds some
+    of the parent's tuples (all of them: nested; none: disjoint) and some
+    of its own; on shared tuples its degrees are drawn at or below the
+    parent's, or freely, so the child may sit above its parent."""
+    parent = draw(st.dictionaries(st.sampled_from(TUPLES), DEGREES, max_size=8))
+    free = [t for t in TUPLES if t not in parent]
+    shared = draw(st.sets(st.sampled_from(sorted(parent)))) if parent else set()
+    own = draw(st.sets(st.sampled_from(free))) if free else set()
+    below = draw(st.booleans())
+    child = {key: parent[key] * draw(DEGREES) if below else draw(DEGREES) for key in sorted(shared)}
+    child.update({key: draw(DEGREES) for key in sorted(own)})
+    return child, parent
+
+
+def random_free_hierarchy(rng: np.random.Generator) -> SummaryHierarchy:
+    """Distinct random intents over 5 pairs, each with an extent drawn on
+    its own: edges need not nest, and a child may hold more than its
+    parent."""
+    pairs = [f"A::l{j}" for j in range(5)]
+    intents = {frozenset(p for p in pairs if rng.random() < 0.4) for _ in range(16)}
+    out = []
+    for i, intent in enumerate(sorted(intents, key=sorted)):
+        extent = {t: float(rng.choice([0.0, 1.0, rng.random()]))
+                  for t in TUPLES[:6] if rng.random() < 0.7}
+        out.append(summary(f"s{i}", sorted(intent), extent))
+    return SummaryHierarchy(out)
+
+
 class TestSatisfactionDegree:
     def test_root_is_zero(self, employee_hierarchy):
         assert satisfaction_degrees(employee_hierarchy)["z0"] == 0.0
@@ -258,8 +302,6 @@ class TestSatisfactionDegree:
         assert sds["leaf"] == pytest.approx(max(1.5 / 4 + 0.5 / 1.5, 2.5 / 4 + 0.5 / 2.5))
 
     def test_path_max_recurrence(self, employee_hierarchy):
-        from fuzzysumm.lattice import sigma_jaccard
-
         sds = satisfaction_degrees(employee_hierarchy)
         for sid, s in employee_hierarchy.summaries.items():
             parents = employee_hierarchy.parents(sid)
@@ -284,13 +326,13 @@ class TestSatisfactionDegree:
     def test_one_sweep_per_hierarchy(self, monkeypatch, food_schema):
         h = SummaryHierarchy.load(FIXTURES / "food_hierarchy.json")
         calls = []
-        real = query_module.sigma_jaccard
+        real = query_module.edge_overlap
 
-        def counting(a, b):
+        def counting(child, parent, parent_sigma):
             calls.append(1)
-            return real(a, b)
+            return real(child, parent, parent_sigma)
 
-        monkeypatch.setattr(query_module, "sigma_jaccard", counting)
+        monkeypatch.setattr(query_module, "edge_overlap", counting)
         for text in (Q4, "Select * From Food-consumption Where Age FEQ $Young;"):
             for mode in ("strict", "tolerant", "exhaustive"):
                 evaluate(h, food_schema, parse_query(text, food_schema), mode=mode)
@@ -327,6 +369,42 @@ class TestSatisfactionDegree:
             outputs.append(proc.stdout)
         assert outputs[0].count("\n") == 3
         assert outputs[0] == outputs[1]
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 2**31 - 1), st.sampled_from(["context", "schema", "free"]))
+    def test_sd_is_the_best_enumerated_root_path(self, seed, source):
+        """Against the definition: the max over every root path, on lattices
+        of random contexts, on random_hierarchy and on hierarchies whose
+        extents do not nest."""
+        rng = np.random.default_rng(seed)
+        if source == "context":
+            ctx = random_context(rng, max_objects=6, max_attrs=5)
+            threshold = float(rng.choice([0.3, 0.5, 0.7]))
+            h = build_hierarchy(build_lattice(enumerate_concepts(ctx, threshold)))
+        elif source == "schema":
+            h, _, _ = random_hierarchy(rng)
+        else:
+            h = random_free_hierarchy(rng)
+        sds = satisfaction_degrees(h)
+        assert set(sds) == set(h.summaries)
+        for sid in h.summaries:
+            assert abs(sds[sid] - oracle_sd(h, sid)) <= 1e-12
+
+
+class TestEdgeOverlap:
+    @settings(max_examples=200)
+    @given(extent_pairs())
+    @example(({"a": 0.5, "b": 0.25}, {"a": 0.75, "b": 0.5, "c": 1.0}))  # nested
+    @example(({"a": 0.5, "z": 0.25}, {"a": 0.75, "b": 0.5}))  # partly overlapping
+    @example(({"z": 1.0}, {"a": 1.0}))  # disjoint
+    @example(({}, {"a": 0.5}))  # empty child
+    @example(({}, {}))  # both empty
+    @example(({"a": 0.0}, {"a": 0.0, "b": 0.0}))  # zero degrees
+    @example(({"a": 1.0, "b": 0.75}, {"a": 0.25, "b": 0.5}))  # child above parent
+    def test_equals_the_pointwise_union(self, pair):
+        child, parent = pair
+        got = edge_overlap(child, parent, math.fsum(parent.values()))
+        assert abs(got - sigma_jaccard(child, parent)) <= 1e-12
 
 
 class TestKeepMaximal:
